@@ -5,6 +5,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo build --release --workspace
+# The benchmark is a workspace of its own and pins part of the public
+# API; build and test it against these crates. --locked fails when a
+# dependency change would rewrite its lockfile.
+cargo build --release --offline --locked --manifest-path flexbench/Cargo.toml
+cargo test -q --offline --locked --manifest-path flexbench/Cargo.toml
+# bench_json writes every BENCH_PR*.json here, never over the
+# committed files.
+export FLEXER_BENCH_DIR=.bench-ci
 cargo test -q
 cargo clippy --workspace -- -D warnings
 # Differential gate: the interpreter/verifier suites plus a network-level
@@ -114,7 +122,8 @@ rm -rf .fleet-smoke-ci
 # anti-entropy the fleet's aggregate warm-hit throughput over one
 # connection per node must strictly beat the single node — both
 # hard-asserted inside bench_json --fleet, which exits non-zero (and
-# prints no "fleet gate" lines) on violation. Emits BENCH_PR10.json.
+# prints no "fleet gate" lines) on violation. Emits
+# $FLEXER_BENCH_DIR/BENCH_PR10.json.
 fleet_out="$(./target/release/bench_json --fleet)"
 echo "$fleet_out"
 if [ "$(grep -c '^fleet gate ' <<<"$fleet_out")" -lt 2 ]; then

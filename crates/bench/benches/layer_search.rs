@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
-use flexer_sched::{search_layer, search_layer_cached, MemoCache, SearchOptions};
+use flexer_sched::{search_layer, MemoCache, Search, SearchOptions};
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
@@ -20,9 +20,21 @@ fn bench_search(c: &mut Criterion) {
     // Memoized replay: a cache warmed once turns the search into a
     // single GetSchedule run.
     let cache = MemoCache::new();
-    search_layer_cached(&layer, &arch, &opts, &cache).unwrap();
+    let cached = Search {
+        cache: Some(&cache),
+        ..Search::new(&arch, &opts)
+    };
+    cached
+        .run(std::slice::from_ref(&layer))
+        .into_result()
+        .unwrap();
     c.bench_function("search_layer_memo_replay", |b| {
-        b.iter(|| search_layer_cached(black_box(&layer), &arch, &opts, &cache).unwrap())
+        b.iter(|| {
+            cached
+                .run(std::slice::from_ref(black_box(&layer)))
+                .into_result()
+                .unwrap()
+        })
     });
 }
 

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
-use flexer_sched::{search_layer, search_layer_traced, SearchOptions};
+use flexer_sched::{search_layer, Search, SearchOptions, TraceOptions};
 use flexer_trace::{Lane, TraceConfig, TraceDetail, Tracer};
 use std::hint::black_box;
 
@@ -44,13 +44,18 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| search_layer(black_box(&layer), &arch, &opts).unwrap())
     });
 
-    let mut traced = opts.clone();
-    traced.trace.detail = TraceDetail::Memory;
+    let traced = Search {
+        trace: Some(TraceOptions {
+            detail: TraceDetail::Memory,
+            ..TraceOptions::default()
+        }),
+        ..Search::new(&arch, &opts)
+    };
     c.bench_function("search_traced_memory_detail", |b| {
         b.iter(|| {
-            let (r, trace) = search_layer_traced(black_box(&layer), &arch, &traced);
-            black_box(trace.summary().events);
-            r.unwrap()
+            let run = traced.run(std::slice::from_ref(black_box(&layer)));
+            black_box(run.trace.summary().events);
+            run.into_result().unwrap()
         })
     });
 }

@@ -17,10 +17,11 @@
 //!   percentage. Rows: `{bench, arch, median_ns, evaluated}` plus one
 //!   `{bench: "trace_disabled_overhead", ...}` summary row.
 //!
-//! Output paths default to the names above in the current directory;
-//! override with `FLEXER_BENCH_OUT` / `FLEXER_BENCH_OUT_PR3` /
-//! `FLEXER_BENCH_OUT_PR4`. `FLEXER_BENCH_ITERS` sets the sample count
-//! (default 7, median reported).
+//! Every suite writes its file under one output directory,
+//! `FLEXER_BENCH_DIR` (default `target/bench`, created on demand), so
+//! a run never rewrites the committed `BENCH_PR*.json` files.
+//! `FLEXER_BENCH_ITERS` sets the sample count (default 7, median
+//! reported).
 //!
 //! Pass `--trace-out <path>` to also run a traced network search
 //! (SqueezeNet head, arch1, single-threaded for a byte-stable trace)
@@ -32,8 +33,7 @@
 //! [`Flexer::with_store`] by two independent driver instances sharing
 //! `<dir>`, proving the warm pass answers every layer from the
 //! persistent cache, skips the search, and returns byte-identical
-//! results. Writes `BENCH_PR5.json` (override with
-//! `FLEXER_BENCH_OUT_PR5`). Point two consecutive invocations at the
+//! results. Writes `BENCH_PR5.json`. Point two consecutive invocations at the
 //! same directory and even the "first" pass of the second run is warm
 //! — that cross-process warm start is what CI asserts.
 //!
@@ -46,8 +46,7 @@
 //! seeding strictly reduces the number of candidates scheduled to
 //! completion. Rows: `{bench, arch, median_ns, evaluated,
 //! candidates_bounded, candidates_pruned, early_exits, full_evals,
-//! seeded_cutoffs, gap_ppm}`. Writes `BENCH_PR6.json` (override with
-//! `FLEXER_BENCH_OUT_PR6`).
+//! seeded_cutoffs, gap_ppm}`. Writes `BENCH_PR6.json`.
 //!
 //! Pass `--residency` to run the *inter-layer residency* suite
 //! instead: the network-level residency planner versus the plain
@@ -57,7 +56,7 @@
 //! residency-disabled reference stays byte-identical to the plain
 //! search. Rows: `{bench, arch, median_ns, dma_bytes, latency_cycles,
 //! resident_edges, spilled_edges, dma_bytes_saved}`. Writes
-//! `BENCH_PR8.json` (override with `FLEXER_BENCH_OUT_PR8`).
+//! `BENCH_PR8.json`.
 //!
 //! Pass `--zoo` to run the *workload diversity* suite instead: every
 //! network in the diverse zoo (transformer encoder, MobileNet-style
@@ -67,8 +66,7 @@
 //! every layer of the second pass is a store hit with byte-identical
 //! winners, and that the branching net cleanly declines residency.
 //! Rows: `{bench, net, arch, cold_ns, warm_ns, layers,
-//! latency_cycles, dma_bytes}`. Writes `BENCH_PR9.json` (override
-//! with `FLEXER_BENCH_OUT_PR9`).
+//! latency_cycles, dma_bytes}`. Writes `BENCH_PR9.json`.
 //!
 //! Pass `--fleet` to run the *fleet serving* suite instead: a
 //! standalone `flexer-serve` node versus a 3-node consistent-hash
@@ -77,10 +75,10 @@
 //! anti-entropy pass replicates every entry fleet-wide, the fleet's
 //! aggregate warm-hit throughput (one connection per node) strictly
 //! beats the single node. Rows: `{bench, nodes, requests, total_ns,
-//! rps}` plus one identity row. Writes `BENCH_PR10.json` (override
-//! with `FLEXER_BENCH_OUT_PR10`).
+//! rps}` plus one identity row. Writes `BENCH_PR10.json`.
 
 use flexer::prelude::*;
+use flexer::sched::Search;
 use flexer::trace::Lane;
 use std::time::Instant;
 
@@ -89,6 +87,14 @@ struct Row {
     arch: String,
     median_ns: u128,
     evaluated: usize,
+}
+
+/// The path suite file `name` is written to: under `FLEXER_BENCH_DIR`
+/// (default `target/bench`), which is created on demand.
+fn bench_out(name: &str) -> String {
+    let dir = std::env::var("FLEXER_BENCH_DIR").unwrap_or_else(|_| "target/bench".to_owned());
+    std::fs::create_dir_all(&dir).expect("create the bench output directory");
+    format!("{dir}/{name}")
 }
 
 fn median_ns(samples: &mut [u128]) -> u128 {
@@ -135,12 +141,17 @@ fn time_network_search(
     iters: usize,
 ) -> (u128, Vec<flexer::sched::LayerSearchResult>) {
     // Warm-up run, then `iters` timed samples.
-    let warm =
-        flexer::sched::search_network(net.layers(), arch, opts).expect("benchmark net schedules");
+    let search = Search::new(arch, opts);
+    let warm = search
+        .run(net.layers())
+        .into_result()
+        .expect("benchmark net schedules");
     let mut samples: Vec<u128> = (0..iters)
         .map(|_| {
             let t = Instant::now();
-            let r = flexer::sched::search_network(net.layers(), arch, opts)
+            let r = search
+                .run(net.layers())
+                .into_result()
                 .expect("benchmark net schedules");
             let ns = t.elapsed().as_nanos();
             assert_eq!(r.len(), warm.len());
@@ -230,11 +241,9 @@ fn full_evals(results: &[flexer::sched::LayerSearchResult]) -> u64 {
 }
 
 /// The PR 6 suite: analytical incumbent seeding and the solver-only
-/// backend, both presets. Writes `BENCH_PR6.json` (override with
-/// `FLEXER_BENCH_OUT_PR6`).
+/// backend, both presets. Writes `BENCH_PR6.json`.
 fn bench_seed(iters: usize) {
-    let out6 =
-        std::env::var("FLEXER_BENCH_OUT_PR6").unwrap_or_else(|_| "BENCH_PR6.json".to_owned());
+    let out6 = bench_out("BENCH_PR6.json");
     let net = scale_spatial(&networks::by_name("squeezenet").expect("known net"), 4);
     let mut rows = Vec::new();
     for preset in [ArchPreset::Arch1, ArchPreset::Arch5] {
@@ -356,11 +365,9 @@ fn bench_seed(iters: usize) {
 /// drop, end-to-end latency is no worse, the residency-disabled
 /// reference run is byte-identical to the plain network search, and
 /// the plan's cross-layer protocol replays cleanly against the
-/// residency ledger. Writes `BENCH_PR8.json` (override with
-/// `FLEXER_BENCH_OUT_PR8`).
+/// residency ledger. Writes `BENCH_PR8.json`.
 fn bench_residency(iters: usize) {
-    let out8 =
-        std::env::var("FLEXER_BENCH_OUT_PR8").unwrap_or_else(|_| "BENCH_PR8.json".to_owned());
+    let out8 = bench_out("BENCH_PR8.json");
     let net = scale_spatial(&networks::by_name("squeezenet").expect("known net"), 4);
     let mut rows = Vec::new();
     for preset in [ArchPreset::Arch1, ArchPreset::Arch5] {
@@ -496,10 +503,9 @@ fn bench_residency(iters: usize) {
 /// zero searches, masked-byte-identical winners. The branching net is
 /// additionally run through the residency planner, which must cleanly
 /// decline (no resident edges, byte-identical results). Writes
-/// `BENCH_PR9.json` (override with `FLEXER_BENCH_OUT_PR9`).
+/// `BENCH_PR9.json`.
 fn bench_zoo() {
-    let out9 =
-        std::env::var("FLEXER_BENCH_OUT_PR9").unwrap_or_else(|_| "BENCH_PR9.json".to_owned());
+    let out9 = bench_out("BENCH_PR9.json");
     let archs: Vec<(&str, ArchConfig)> = vec![
         ("arch1", ArchConfig::preset(ArchPreset::Arch1)),
         ("arch5", ArchConfig::preset(ArchPreset::Arch5)),
@@ -632,19 +638,34 @@ fn time_traced_search(
     layer: &ConvLayer,
     arch: &ArchConfig,
     opts: &SearchOptions,
+    detail: TraceDetail,
     iters: usize,
 ) -> (u128, usize, Trace) {
-    let (warm, trace) = flexer::sched::search_layer_traced(layer, arch, opts);
-    let evaluated = warm.expect("benchmark layer schedules").evaluated;
+    let search = Search {
+        trace: Some(TraceOptions {
+            detail,
+            ..TraceOptions::default()
+        }),
+        ..Search::new(arch, opts)
+    };
+    let layers = std::slice::from_ref(layer);
+    let warm = search.run(layers);
+    let evaluated = warm.results[0]
+        .as_ref()
+        .expect("benchmark layer schedules")
+        .evaluated;
     let mut samples: Vec<u128> = (0..iters)
         .map(|_| {
             let t = Instant::now();
-            let (r, _) = flexer::sched::search_layer_traced(layer, arch, opts);
-            assert_eq!(r.expect("benchmark layer schedules").evaluated, evaluated);
+            let r = search.run(layers).into_result();
+            assert_eq!(
+                r.expect("benchmark layer schedules")[0].evaluated,
+                evaluated
+            );
             t.elapsed().as_nanos()
         })
         .collect();
-    (median_ns(&mut samples), evaluated, trace)
+    (median_ns(&mut samples), evaluated, warm.trace)
 }
 
 /// Measures the per-call cost of a disabled span enter/exit pair —
@@ -670,13 +691,18 @@ fn write_trace_artifact(path: &str) {
         .expect("valid network slice");
     let mut opts = SearchOptions::quick();
     opts.threads = 1; // byte-stable trace
-    opts.trace.detail = TraceDetail::Steps;
-    let (result, trace) = flexer::sched::search_network_traced(
-        head.layers(),
-        &ArchConfig::preset(ArchPreset::Arch1),
-        &opts,
-    );
-    result.expect("trace artifact network schedules");
+    let arch = ArchConfig::preset(ArchPreset::Arch1);
+    let search = Search {
+        trace: Some(TraceOptions {
+            detail: TraceDetail::Steps,
+            ..TraceOptions::default()
+        }),
+        ..Search::new(&arch, &opts)
+    };
+    let SearchRun { results, trace } = search.run(head.layers());
+    for result in results {
+        result.expect("trace artifact network schedules");
+    }
     trace.check().expect("recorded trace is well-formed");
     // The same logical-tick percentiles the chaos harness gates on,
     // computed here from the producer side so check.sh can pin the
@@ -732,8 +758,7 @@ fn masked_bytes(r: &flexer::sched::LayerSearchResult) -> Vec<u8> {
 
 /// The PR 5 suite: warm-start through the persistent schedule store.
 fn bench_store(dir: &str) {
-    let out5 =
-        std::env::var("FLEXER_BENCH_OUT_PR5").unwrap_or_else(|_| "BENCH_PR5.json".to_owned());
+    let out5 = bench_out("BENCH_PR5.json");
     let net = scale_spatial(&networks::by_name("squeezenet").expect("known net"), 4);
     let layers = net.layers().len() as u64;
 
@@ -789,15 +814,13 @@ fn bench_store(dir: &str) {
 /// (provenance masked), then — after an anti-entropy pass replicates
 /// every entry fleet-wide — the fleet's aggregate warm-hit throughput
 /// over one connection per node must strictly beat the single node over
-/// its one connection. Writes `BENCH_PR10.json` (override with
-/// `FLEXER_BENCH_OUT_PR10`).
+/// its one connection. Writes `BENCH_PR10.json`.
 fn bench_fleet() {
     use flexer_fleet::{replica_parity, route_fingerprint, sync_pass, Router};
     use flexer_serve::client::Client;
     use flexer_serve::{mask_provenance, parse_request, request_shutdown, Server, ServerConfig};
 
-    let out10 =
-        std::env::var("FLEXER_BENCH_OUT_PR10").unwrap_or_else(|_| "BENCH_PR10.json".to_owned());
+    let out10 = bench_out("BENCH_PR10.json");
     let scratch = std::env::temp_dir().join(format!("flexer-bench-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("bench scratch dir");
@@ -1023,8 +1046,7 @@ fn main() {
         bench_zoo();
         return;
     }
-    let out_path =
-        std::env::var("FLEXER_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR1.json".to_owned());
+    let out_path = bench_out("BENCH_PR1.json");
 
     let preset = ArchPreset::Arch5;
     let arch = ArchConfig::preset(preset);
@@ -1079,8 +1101,7 @@ fn main() {
     println!("speedup over clone-per-candidate: {ratio:.2}x");
 
     // --- PR 3: branch-and-bound network search vs exhaustive ---
-    let out3 =
-        std::env::var("FLEXER_BENCH_OUT_PR3").unwrap_or_else(|_| "BENCH_PR3.json".to_owned());
+    let out3 = bench_out("BENCH_PR3.json");
     let prune_rows = bench_search_prune(iters);
     let mut json = String::from("[\n");
     for (i, r) in prune_rows.iter().enumerate() {
@@ -1115,14 +1136,11 @@ fn main() {
     }
 
     // --- PR 4: tracing overhead ---
-    let out4 =
-        std::env::var("FLEXER_BENCH_OUT_PR4").unwrap_or_else(|_| "BENCH_PR4.json".to_owned());
-    let mut search_detail = tx_opts.clone();
-    search_detail.trace.detail = TraceDetail::Search;
-    let (traced_ns, traced_eval, _) = time_traced_search(&layer, &arch, &search_detail, iters);
-    let mut memory_detail = tx_opts.clone();
-    memory_detail.trace.detail = TraceDetail::Memory;
-    let (memory_ns, _, memory_trace) = time_traced_search(&layer, &arch, &memory_detail, iters);
+    let out4 = bench_out("BENCH_PR4.json");
+    let (traced_ns, traced_eval, _) =
+        time_traced_search(&layer, &arch, &tx_opts, TraceDetail::Search, iters);
+    let (memory_ns, _, memory_trace) =
+        time_traced_search(&layer, &arch, &tx_opts, TraceDetail::Memory, iters);
     let pair_ns = disabled_span_pair_ns();
     // The untraced path pays one disabled branch per would-be event;
     // bound that price by the full enter+attr+exit pair cost times the

@@ -2,7 +2,18 @@
 
 use crate::{geomean, ExperimentContext};
 use flexer::prelude::*;
-use flexer::sched::sweep_tilings;
+use flexer::sched::{sweep_tilings, LayerSearchResult, Search};
+
+/// The best static loop-order schedule of `layer` through `driver`.
+fn baseline_layer(driver: &Flexer, layer: &ConvLayer) -> LayerSearchResult {
+    let run = driver.search(
+        std::slice::from_ref(layer),
+        SchedulerKind::Static,
+        None,
+        None,
+    );
+    run.into_result().expect("baseline schedules").remove(0)
+}
 
 /// **Table 1** — the eight hardware configurations.
 pub fn table1() {
@@ -175,7 +186,7 @@ pub fn fig09(ctx: &ExperimentContext) {
     );
     for name in ["conv3_1", "conv3_2"] {
         let layer = net.layer_by_name(name).unwrap();
-        let base = driver.baseline_layer(layer).expect("baseline schedules");
+        let base = baseline_layer(&driver, layer);
         for (metric_name, d) in [("default", &driver), ("transfer-weighted", &weighted)] {
             let ooo = d.schedule_layer(layer).expect("layer schedules");
             println!(
@@ -239,7 +250,7 @@ pub fn fig10(ctx: &ExperimentContext) {
             "schedule", "IN B", "WT B", "PS B", "OT B", "total B", "max loads IN/WT/OT"
         );
         let ooo = driver.schedule_layer(layer).expect("layer schedules");
-        let st = driver.baseline_layer(layer).expect("baseline schedules");
+        let st = baseline_layer(&driver, layer);
         let dfg = Dfg::build(layer, ooo.factors, ooo.dataflow, &model, &arch)
             .expect("winning tiling builds");
         let reference = onchip_reference_traffic(&dfg);
@@ -315,12 +326,13 @@ pub fn fig11(ctx: &ExperimentContext) {
                 dataflows,
                 ..ctx.options.clone()
             };
-            let st = flexer::sched::search_layer_static(
-                layer,
-                &ArchConfig::preset(ArchPreset::Arch6),
-                &opts,
-            )
-            .expect("static search succeeds");
+            let arch = ArchConfig::preset(ArchPreset::Arch6);
+            let search = Search {
+                kind: SchedulerKind::Static,
+                ..Search::new(&arch, &opts)
+            };
+            let st = search.run(std::slice::from_ref(layer)).into_result();
+            let st = st.expect("static search succeeds").remove(0);
             report(tag, &st.schedule);
         }
         let driver = ctx.driver(ArchPreset::Arch6);
@@ -507,11 +519,15 @@ pub fn search_prune(ctx: &ExperimentContext) {
         full_opts.prune = false;
 
         let t = std::time::Instant::now();
-        let pruned = flexer::sched::search_network(net.layers(), &arch, &pruned_opts)
+        let pruned = Search::new(&arch, &pruned_opts)
+            .run(net.layers())
+            .into_result()
             .expect("pruned search succeeds");
         let pruned_ms = t.elapsed().as_secs_f64() * 1e3;
         let t = std::time::Instant::now();
-        let full = flexer::sched::search_network(net.layers(), &arch, &full_opts)
+        let full = Search::new(&arch, &full_opts)
+            .run(net.layers())
+            .into_result()
             .expect("exhaustive search succeeds");
         let full_ms = t.elapsed().as_secs_f64() * 1e3;
 

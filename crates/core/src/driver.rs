@@ -5,10 +5,8 @@ use crate::residency::{replay_ledger, EdgeDecision, ResidencyPlan, ResidentNetwo
 use flexer_arch::{ArchConfig, ArchConfigBuilder};
 use flexer_model::{ConvLayer, Network};
 use flexer_sched::{
-    search_layer_cached, search_layer_deadline, search_layer_static_cached,
-    search_layer_static_deadline, search_network_cached, search_network_static_cached,
-    search_network_traced_cached, verify_layer_result, LayerSearchResult, MemoCache, SchedError,
-    SchedulerKind, SearchOptions,
+    verify_layer_result, LayerSearchResult, MemoCache, SchedError, SchedulerKind, Search,
+    SearchOptions, SearchRun, TraceOptions,
 };
 use flexer_store::{fingerprint, Lookup, ScheduleStore};
 use flexer_tiling::Residency;
@@ -18,53 +16,11 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-/// A network search together with the trace it recorded — the return
-/// value of [`Flexer::trace_network`].
-///
-/// The trace is present even when the search failed: a failing search
-/// is exactly when the recorded spans (which candidate was cut, which
-/// layer errored and why) are most useful.
-#[derive(Debug)]
-pub struct TracedNetwork {
-    /// The search outcome, as [`Flexer::schedule_network`] would have
-    /// returned it.
-    pub result: Result<NetworkResult, SchedError>,
-    /// The recorded trace. Deterministic (byte-identical across runs)
-    /// under the default logical clock when
-    /// [`SearchOptions::threads`] is 1, or at any thread count with
-    /// [`SearchOptions::prune`] disabled.
-    pub trace: Trace,
-}
-
-impl TracedNetwork {
-    /// The trace in Chrome trace-event JSON, loadable into
-    /// `chrome://tracing` or Perfetto.
-    #[must_use]
-    pub fn chrome_json(&self) -> String {
-        flexer_trace::chrome::to_chrome_json(&self.trace)
-    }
-
-    /// The trace as an indented plain-text span tree.
-    #[must_use]
-    pub fn span_tree(&self) -> String {
-        flexer_trace::text::render_tree(&self.trace)
-    }
-
-    /// The network report with a trailing `trace:` summary line.
-    #[must_use]
-    pub fn report(&self) -> String {
-        let head = match &self.result {
-            Ok(r) => r.to_string(),
-            Err(e) => format!("search failed: {e}"),
-        };
-        format!("{head}\n  trace: {}", self.trace.summary())
-    }
-}
-
 /// The end-to-end schedule generator: Algorithm-1 searches per layer,
 /// with a built-in memoization cache so repeated layer shapes (e.g.
-/// ResNet-50's bottleneck blocks) search only once, plus the baseline
-/// generator and comparison helpers the evaluation section needs.
+/// ResNet-50's bottleneck blocks) search only once and an optional
+/// persistent store, plus the comparison helpers the evaluation
+/// section needs. [`Flexer::search`] is its one search entry point.
 ///
 /// # Examples
 ///
@@ -157,88 +113,6 @@ impl Flexer {
         &self.arch
     }
 
-    /// Dispatches a whole-network search to the chosen scheduler on an
-    /// explicit target architecture (the residency planner schedules
-    /// layers on reduced-SPM variants of [`Flexer::arch`]; the memo
-    /// cache keys on the architecture, so sharing it stays sound).
-    fn search_many_on(
-        &self,
-        arch: &ArchConfig,
-        layers: &[ConvLayer],
-        options: &SearchOptions,
-        kind: SchedulerKind,
-    ) -> Result<Vec<LayerSearchResult>, SchedError> {
-        match kind {
-            SchedulerKind::Ooo => search_network_cached(layers, arch, options, &self.cache),
-            SchedulerKind::Static => {
-                search_network_static_cached(layers, arch, options, &self.cache)
-            }
-        }
-    }
-
-    /// Searches `layers`, warm-starting from the persistent store when
-    /// one is attached: hits skip the search entirely (re-verified
-    /// first when `options.validate` demands it), misses search as
-    /// usual and persist their winner. Results keep network order.
-    fn search_stored(
-        &self,
-        layers: &[ConvLayer],
-        options: &SearchOptions,
-        kind: SchedulerKind,
-    ) -> Result<Vec<LayerSearchResult>, SchedError> {
-        self.search_stored_on(&self.arch, layers, options, kind)
-    }
-
-    /// [`Flexer::search_stored`] on an explicit architecture. The store
-    /// fingerprint covers the architecture, so entries searched on a
-    /// reduced-SPM variant never collide with full-SPM entries.
-    fn search_stored_on(
-        &self,
-        arch: &ArchConfig,
-        layers: &[ConvLayer],
-        options: &SearchOptions,
-        kind: SchedulerKind,
-    ) -> Result<Vec<LayerSearchResult>, SchedError> {
-        let Some(store) = &self.store else {
-            return self.search_many_on(arch, layers, options, kind);
-        };
-        let mut slots: Vec<Option<LayerSearchResult>> = (0..layers.len()).map(|_| None).collect();
-        let mut misses = Vec::new();
-        for (i, layer) in layers.iter().enumerate() {
-            let fp = fingerprint(layer, arch, options, kind);
-            match store.get(fp) {
-                Lookup::Hit(mut hit) => {
-                    // The address ignores layer names; restore the
-                    // requested one.
-                    hit.layer = layer.name().to_string();
-                    hit.stats.store_hits = 1;
-                    if options.validate {
-                        verify_layer_result(layer, arch, options, kind, &mut hit)?;
-                    }
-                    slots[i] = Some(*hit);
-                }
-                Lookup::Miss | Lookup::Corrupt(_) => misses.push((i, fp, layer.clone())),
-            }
-        }
-        if !misses.is_empty() {
-            let missed: Vec<ConvLayer> = misses.iter().map(|(_, _, l)| l.clone()).collect();
-            let searched = self.search_many_on(arch, &missed, options, kind)?;
-            for ((i, fp, _), mut result) in misses.into_iter().zip(searched) {
-                result.stats.store_misses = 1;
-                // Persisting is best-effort: a full disk must not fail
-                // the search that just succeeded. Only exact winners
-                // are durable — an anytime result is deadline-specific
-                // and must never masquerade as the proven optimum on a
-                // later, unhurried run.
-                if result.is_exact() {
-                    let _ = store.put(fp, &result);
-                }
-                slots[i] = Some(result);
-            }
-        }
-        Ok(slots.into_iter().map(|s| s.expect("slot filled")).collect())
-    }
-
     /// The active search options.
     #[must_use]
     pub fn options(&self) -> &SearchOptions {
@@ -251,87 +125,136 @@ impl Flexer {
         self.cache.len()
     }
 
+    /// Searches `layers` with the `kind` scheduler under the driver's
+    /// options — the driver's one search entry point. Results are
+    /// index-aligned with `layers`.
+    ///
+    /// The mode decides what the driver's memo cache and persistent
+    /// store see:
+    ///
+    /// - An exact, untraced run reads and writes both. Store hits skip
+    ///   the search entirely (re-verified first under
+    ///   [`SearchOptions::validate`]); misses search and persist their
+    ///   winner.
+    /// - A `deadline` run bypasses both in both directions. Both keep
+    ///   only proven optima, and an anytime result depends on
+    ///   wall-clock luck, not just the search key. See
+    ///   [`Search::deadline`] for the anytime semantics.
+    /// - A traced run bypasses the store, so the trace shows the real
+    ///   search, but shares the memo cache.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use flexer::prelude::*;
+    ///
+    /// let arch = ArchConfig::preset(ArchPreset::Arch1);
+    /// let mut opts = SearchOptions::quick();
+    /// opts.threads = 1; // byte-stable trace
+    /// let driver = Flexer::new(arch).with_options(opts);
+    ///
+    /// let layers = [ConvLayer::new("c", 16, 14, 14, 16)?];
+    /// let trace = Some(TraceOptions::default());
+    /// let run = driver.search(&layers, SchedulerKind::Static, None, trace);
+    /// assert!(run.results[0].is_ok());
+    /// assert!(!run.trace.is_empty());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    #[must_use]
+    pub fn search(
+        &self,
+        layers: &[ConvLayer],
+        kind: SchedulerKind,
+        deadline: Option<Instant>,
+        trace: Option<TraceOptions>,
+    ) -> SearchRun {
+        let request = Search {
+            kind,
+            deadline,
+            trace,
+            ..Search::new(&self.arch, &self.options)
+        };
+        self.search_on(request, layers)
+    }
+
+    /// [`Flexer::search`] for an explicit request: the residency
+    /// planner searches reduced-SPM variants of [`Flexer::arch`], and
+    /// verification forces [`SearchOptions::validate`]. The memo key
+    /// and the store fingerprint both cover the architecture and the
+    /// options, so sharing the cache and the store stays sound.
+    fn search_on(&self, request: Search<'_>, layers: &[ConvLayer]) -> SearchRun {
+        let exact = request.deadline.is_none();
+        let request = Search {
+            cache: exact.then_some(&self.cache),
+            ..request
+        };
+        let Some(store) = self
+            .store
+            .as_ref()
+            .filter(|_| exact && request.trace.is_none())
+        else {
+            return request.run(layers);
+        };
+        let mut slots: Vec<Option<Result<LayerSearchResult, SchedError>>> =
+            (0..layers.len()).map(|_| None).collect();
+        let mut misses = Vec::new();
+        for (i, layer) in layers.iter().enumerate() {
+            let fp = fingerprint(layer, request.arch, request.opts, request.kind);
+            match store.get(fp) {
+                Lookup::Hit(mut hit) => {
+                    // The address ignores layer names; restore the
+                    // requested one.
+                    hit.layer = layer.name().to_string();
+                    hit.stats.store_hits = 1;
+                    let checked = if request.opts.validate {
+                        verify_layer_result(
+                            layer,
+                            request.arch,
+                            request.opts,
+                            request.kind,
+                            &mut hit,
+                        )
+                    } else {
+                        Ok(())
+                    };
+                    slots[i] = Some(checked.map(|()| *hit));
+                }
+                Lookup::Miss | Lookup::Corrupt(_) => misses.push((i, fp)),
+            }
+        }
+        if !misses.is_empty() {
+            let missed: Vec<ConvLayer> = misses.iter().map(|&(i, _)| layers[i].clone()).collect();
+            for ((i, fp), result) in misses.into_iter().zip(request.run(&missed).results) {
+                slots[i] = Some(result.map(|mut result| {
+                    result.stats.store_misses = 1;
+                    // Persisting is best-effort: a full disk must not
+                    // fail the search that just succeeded. Only exact
+                    // winners are durable — an anytime result must
+                    // never masquerade as the proven optimum on a
+                    // later, unhurried run.
+                    if result.is_exact() {
+                        let _ = store.put(fp, &result);
+                    }
+                    result
+                }));
+            }
+        }
+        SearchRun {
+            results: slots.into_iter().map(|s| s.expect("slot filled")).collect(),
+            trace: Trace::empty(),
+        }
+    }
+
     /// Finds the best out-of-order schedule for one layer
-    /// (Algorithm 1).
+    /// (Algorithm 1) — shorthand for a one-layer [`Flexer::search`].
     ///
     /// # Errors
     ///
     /// Returns [`SchedError`] when no tiling of the layer fits the
     /// architecture or scheduling fails.
     pub fn schedule_layer(&self, layer: &ConvLayer) -> Result<LayerSearchResult, SchedError> {
-        if self.store.is_some() {
-            let mut v = self.search_stored(
-                std::slice::from_ref(layer),
-                &self.options,
-                SchedulerKind::Ooo,
-            )?;
-            return Ok(v.pop().expect("one layer in, one result out"));
-        }
-        search_layer_cached(layer, &self.arch, &self.options, &self.cache)
-    }
-
-    /// [`Flexer::schedule_layer`] under an *anytime* deadline: the
-    /// out-of-order search runs until `deadline` (forever when `None`)
-    /// and then returns the best schedule found so far instead of
-    /// failing, tagged [`flexer_sched::SearchOutcome::Anytime`] with a
-    /// proven optimality gap. The first candidate always runs even
-    /// under an already-expired deadline, so the result is always a
-    /// real, verifiable schedule.
-    ///
-    /// Deadline-cut results are deliberately *not* read from or
-    /// written to the persistent store or the memo cache — both keep
-    /// only proven optima, and an anytime result depends on wall-clock
-    /// luck, not just the search key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Flexer::schedule_layer`].
-    pub fn schedule_layer_anytime(
-        &self,
-        layer: &ConvLayer,
-        deadline: Option<Instant>,
-    ) -> Result<LayerSearchResult, SchedError> {
-        search_layer_deadline(layer, &self.arch, &self.options, deadline)
-    }
-
-    /// [`Flexer::baseline_layer`] under an *anytime* deadline: the
-    /// static loop-order search runs until `deadline` (forever when
-    /// `None`) and then returns the best baseline schedule found so
-    /// far, tagged [`flexer_sched::SearchOutcome::Anytime`] with a
-    /// proven optimality gap — the static counterpart of
-    /// [`Flexer::schedule_layer_anytime`], so deadline experiments can
-    /// compare like with like.
-    ///
-    /// Deadline-cut results bypass the store and the memo cache for
-    /// the same reason the out-of-order path's do.
-    ///
-    /// # Errors
-    ///
-    /// As [`Flexer::baseline_layer`].
-    pub fn baseline_layer_anytime(
-        &self,
-        layer: &ConvLayer,
-        deadline: Option<Instant>,
-    ) -> Result<LayerSearchResult, SchedError> {
-        search_layer_static_deadline(layer, &self.arch, &self.options, deadline)
-    }
-
-    /// Finds the best static loop-order schedule for one layer — the
-    /// paper's baseline.
-    ///
-    /// # Errors
-    ///
-    /// As [`Flexer::schedule_layer`].
-    pub fn baseline_layer(&self, layer: &ConvLayer) -> Result<LayerSearchResult, SchedError> {
-        if self.store.is_some() {
-            let mut v = self.search_stored(
-                std::slice::from_ref(layer),
-                &self.options,
-                SchedulerKind::Static,
-            )?;
-            return Ok(v.pop().expect("one layer in, one result out"));
-        }
-        search_layer_static_cached(layer, &self.arch, &self.options, &self.cache)
+        let mut run = self.search(std::slice::from_ref(layer), SchedulerKind::Ooo, None, None);
+        run.results.pop().expect("one layer in, one result out")
     }
 
     /// Schedules every layer of `network` with the out-of-order
@@ -345,8 +268,8 @@ impl Flexer {
     ///
     /// Returns the first per-layer error encountered.
     pub fn schedule_network(&self, network: &Network) -> Result<NetworkResult, SchedError> {
-        let layers = self.search_stored(network.layers(), &self.options, SchedulerKind::Ooo)?;
-        Ok(NetworkResult::new(network.name(), layers))
+        let run = self.search(network.layers(), SchedulerKind::Ooo, None, None);
+        Ok(NetworkResult::new(network.name(), run.into_result()?))
     }
 
     /// The architecture with `reserved` bytes of SPM set aside for
@@ -376,14 +299,9 @@ impl Flexer {
         let arch = self.reduced_arch(reserved)?;
         let mut options = self.options.clone();
         options.residency = residency;
-        self.search_stored_on(
-            &arch,
-            std::slice::from_ref(layer),
-            &options,
-            SchedulerKind::Ooo,
-        )
-        .ok()
-        .and_then(|mut v| v.pop())
+        let request = Search::new(&arch, &options);
+        let mut run = self.search_on(request, std::slice::from_ref(layer));
+        run.results.pop().and_then(Result::ok)
     }
 
     /// Schedules `network` under a network-level inter-layer residency
@@ -435,7 +353,8 @@ impl Flexer {
         // construction.
         let mut options = self.options.clone();
         options.residency = Residency::default();
-        let baseline = self.search_stored(layers, &options, SchedulerKind::Ooo)?;
+        let request = Search::new(&self.arch, &options);
+        let baseline = self.search_on(request, layers).into_result()?;
 
         // Residency planning walks producer -> consumer pairs in index
         // order, which is only meaningful on a chain: in a branching
@@ -570,59 +489,6 @@ impl Flexer {
         })
     }
 
-    /// [`Flexer::schedule_network`] with trace recording: runs the
-    /// same out-of-order search while recording spans and counters
-    /// under [`SearchOptions::trace`] (clock and detail), and returns
-    /// the outcome together with the drained [`Trace`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use flexer::prelude::*;
-    ///
-    /// let arch = ArchConfig::preset(ArchPreset::Arch1);
-    /// let mut opts = SearchOptions::quick();
-    /// opts.threads = 1; // byte-stable trace
-    /// let driver = Flexer::new(arch).with_options(opts);
-    ///
-    /// let net = Network::new("n", vec![ConvLayer::new("c", 16, 14, 14, 16)?])?;
-    /// let traced = driver.trace_network(&net);
-    /// assert!(traced.result.is_ok());
-    /// assert!(!traced.trace.is_empty());
-    /// assert!(traced.report().contains("trace:"));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn trace_network(&self, network: &Network) -> TracedNetwork {
-        let (layers, trace) =
-            search_network_traced_cached(network.layers(), &self.arch, &self.options, &self.cache);
-        TracedNetwork {
-            result: layers.map(|l| NetworkResult::new(network.name(), l)),
-            trace,
-        }
-    }
-
-    /// Schedules every layer of `network` with the static baseline,
-    /// over the same shared work queue as [`Flexer::schedule_network`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-layer error encountered.
-    pub fn baseline_network(&self, network: &Network) -> Result<NetworkResult, SchedError> {
-        let layers = self.search_stored(network.layers(), &self.options, SchedulerKind::Static)?;
-        Ok(NetworkResult::new(network.name(), layers))
-    }
-
-    /// Schedules one layer with both schedulers and compares.
-    ///
-    /// # Errors
-    ///
-    /// As [`Flexer::schedule_layer`].
-    pub fn compare_layer(&self, layer: &ConvLayer) -> Result<NetworkComparison, SchedError> {
-        let flexer = NetworkResult::new(layer.name(), vec![self.schedule_layer(layer)?]);
-        let baseline = NetworkResult::new(layer.name(), vec![self.baseline_layer(layer)?]);
-        Ok(NetworkComparison::new(flexer, baseline))
-    }
-
     /// Schedules a whole network with both schedulers and compares —
     /// the Figure-8 experiment for one (network, architecture) pair.
     ///
@@ -631,7 +497,8 @@ impl Flexer {
     /// As [`Flexer::schedule_network`].
     pub fn compare_network(&self, network: &Network) -> Result<NetworkComparison, SchedError> {
         let flexer = self.schedule_network(network)?;
-        let baseline = self.baseline_network(network)?;
+        let baseline = self.search(network.layers(), SchedulerKind::Static, None, None);
+        let baseline = NetworkResult::new(network.name(), baseline.into_result()?);
         Ok(NetworkComparison::new(flexer, baseline))
     }
 
@@ -652,15 +519,19 @@ impl Flexer {
     pub fn verify_network(&self, network: &Network) -> Result<NetworkComparison, SchedError> {
         let mut options = self.options.clone();
         options.validate = true;
-        let flexer = NetworkResult::new(
-            network.name(),
-            self.search_stored(network.layers(), &options, SchedulerKind::Ooo)?,
-        );
-        let baseline = NetworkResult::new(
-            network.name(),
-            self.search_stored(network.layers(), &options, SchedulerKind::Static)?,
-        );
-        Ok(NetworkComparison::new(flexer, baseline))
+        let run = |kind| {
+            let request = Search {
+                kind,
+                ..Search::new(&self.arch, &options)
+            };
+            let run = self.search_on(request, network.layers());
+            run.into_result()
+                .map(|layers| NetworkResult::new(network.name(), layers))
+        };
+        Ok(NetworkComparison::new(
+            run(SchedulerKind::Ooo)?,
+            run(SchedulerKind::Static)?,
+        ))
     }
 }
 
@@ -678,6 +549,17 @@ mod tests {
 
     fn driver() -> Flexer {
         Flexer::new(ArchConfig::preset(ArchPreset::Arch1)).with_options(SearchOptions::quick())
+    }
+
+    /// One untraced layer search through the driver.
+    fn search_one(
+        d: &Flexer,
+        layer: &ConvLayer,
+        kind: SchedulerKind,
+        deadline: Option<Instant>,
+    ) -> Result<LayerSearchResult, SchedError> {
+        let mut run = d.search(std::slice::from_ref(layer), kind, deadline, None);
+        run.results.pop().unwrap()
     }
 
     fn tiny_net() -> Network {
@@ -794,17 +676,21 @@ mod tests {
         opts.threads = 1;
         let d = Flexer::new(ArchConfig::preset(ArchPreset::Arch1)).with_options(opts);
         let net = tiny_net();
-        let traced = d.trace_network(&net);
-        let result = traced.result.as_ref().unwrap();
-        assert_eq!(result.layers().len(), 3);
-        traced.trace.check().unwrap();
-        assert!(!traced.trace.is_empty());
-        let report = traced.report();
-        assert!(report.contains("trace:"), "{report}");
-        assert!(report.contains("spans"), "{report}");
+        let traced = d.search(
+            net.layers(),
+            SchedulerKind::Ooo,
+            None,
+            Some(TraceOptions::default()),
+        );
+        let trace = &traced.trace;
+        assert_eq!(traced.results.len(), 3);
+        assert!(traced.results.iter().all(Result::is_ok));
+        trace.check().unwrap();
+        assert!(!trace.is_empty());
+        assert!(trace.summary().spans > 0);
         // Both exports render without panicking and agree on content.
-        assert!(traced.chrome_json().contains("\"traceEvents\""));
-        assert!(traced.span_tree().contains("search"));
+        assert!(flexer_trace::chrome::to_chrome_json(trace).contains("\"traceEvents\""));
+        assert!(flexer_trace::text::render_tree(trace).contains("search"));
         // The traced search fills the same memo cache.
         assert!(d.cached_shapes() >= 2);
     }
@@ -829,7 +715,7 @@ mod tests {
         let d = driver();
         let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
         let past = Instant::now() - std::time::Duration::from_secs(1);
-        let r = d.schedule_layer_anytime(&layer, Some(past)).unwrap();
+        let r = search_one(&d, &layer, SchedulerKind::Ooo, Some(past)).unwrap();
         assert!(!r.is_exact());
         let gap = r.gap().unwrap();
         assert!(gap >= 1.0 && gap.is_finite(), "gap {gap}");
@@ -837,12 +723,8 @@ mod tests {
         // A generous deadline degenerates to the exact search.
         let exact = d.schedule_layer(&layer).unwrap();
         assert!(exact.is_exact());
-        let generous = d
-            .schedule_layer_anytime(
-                &layer,
-                Some(Instant::now() + std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let generous = search_one(&d, &layer, SchedulerKind::Ooo, Some(far)).unwrap();
         assert!(generous.is_exact());
         assert_eq!(generous.schedule, exact.schedule);
     }
@@ -852,20 +734,16 @@ mod tests {
         let d = driver();
         let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
         let past = Instant::now() - std::time::Duration::from_secs(1);
-        let r = d.baseline_layer_anytime(&layer, Some(past)).unwrap();
+        let r = search_one(&d, &layer, SchedulerKind::Static, Some(past)).unwrap();
         assert!(!r.is_exact());
         let gap = r.gap().unwrap();
         assert!(gap >= 1.0 && gap.is_finite(), "gap {gap}");
         assert!(r.schedule.latency() > 0);
         // A generous deadline degenerates to the exact static search.
-        let generous = d
-            .baseline_layer_anytime(
-                &layer,
-                Some(Instant::now() + std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let generous = search_one(&d, &layer, SchedulerKind::Static, Some(far)).unwrap();
         assert!(generous.is_exact());
-        let exact = d.baseline_layer(&layer).unwrap();
+        let exact = search_one(&d, &layer, SchedulerKind::Static, None).unwrap();
         assert_eq!(generous.schedule, exact.schedule);
     }
 
@@ -1017,6 +895,35 @@ mod tests {
     }
 
     #[test]
+    fn each_mode_keeps_its_store_and_memo_policy() {
+        let dir = std::env::temp_dir().join(format!(
+            "flexer-mode-store-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = driver().with_store(&dir).unwrap();
+        let layers = [ConvLayer::new("c", 16, 14, 14, 16).unwrap()];
+        let stored = || d.store().unwrap().len().unwrap();
+        // A deadline run bypasses the memo and the store, even when it
+        // finishes exactly.
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let run = d.search(&layers, SchedulerKind::Ooo, Some(far), None);
+        assert!(run.results[0].as_ref().unwrap().is_exact());
+        assert_eq!((d.cached_shapes(), stored()), (0, 0));
+        // A traced run fills the memo but bypasses the store.
+        let trace = Some(TraceOptions::default());
+        let run = d.search(&layers, SchedulerKind::Ooo, None, trace);
+        assert!(!run.trace.is_empty());
+        assert_eq!((d.cached_shapes(), stored()), (1, 0));
+        // An exact untraced run persists its winner.
+        let run = d.search(&layers, SchedulerKind::Ooo, None, None);
+        assert_eq!(run.results[0].as_ref().unwrap().stats.store_misses, 1);
+        assert_eq!(stored(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn anytime_results_stay_out_of_the_store() {
         let dir = std::env::temp_dir().join(format!(
             "flexer-anytime-store-{}-{:?}",
@@ -1027,7 +934,7 @@ mod tests {
         let d = driver().with_store(&dir).unwrap();
         let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
         let past = Instant::now() - std::time::Duration::from_secs(1);
-        let partial = d.schedule_layer_anytime(&layer, Some(past)).unwrap();
+        let partial = search_one(&d, &layer, SchedulerKind::Ooo, Some(past)).unwrap();
         assert!(!partial.is_exact());
         assert_eq!(
             d.store().unwrap().len().unwrap(),

@@ -34,9 +34,11 @@
 //!     result.dataflow,
 //! );
 //!
-//! // Compare with the best static loop-order baseline.
-//! let comparison = driver.compare_layer(&layer)?;
-//! assert!(comparison.speedup() > 0.0);
+//! // The best static loop-order baseline is the same search with the
+//! // other scheduler.
+//! let baseline = driver.search(&[layer], SchedulerKind::Static, None, None);
+//! let baseline = baseline.into_result()?;
+//! assert!(baseline[0].schedule.latency() > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -60,7 +62,7 @@ mod driver;
 mod report;
 mod residency;
 
-pub use driver::{Flexer, TracedNetwork};
+pub use driver::Flexer;
 pub use report::{LayerComparison, NetworkComparison, NetworkResult};
 pub use residency::{replay_ledger, EdgeDecision, LedgerOp, ResidencyPlan, ResidentNetworkResult};
 
@@ -76,7 +78,7 @@ pub use flexer_trace as trace;
 
 /// The most commonly used items, re-exported for `use flexer::prelude::*`.
 pub mod prelude {
-    pub use crate::driver::{Flexer, TracedNetwork};
+    pub use crate::driver::Flexer;
     pub use crate::report::{LayerComparison, NetworkComparison, NetworkResult};
     pub use crate::residency::{
         replay_ledger, EdgeDecision, LedgerOp, ResidencyPlan, ResidentNetworkResult,
@@ -87,8 +89,8 @@ pub mod prelude {
     };
     pub use flexer_model::{networks, scale_spatial, ConvLayer, ConvLayerBuilder, Network};
     pub use flexer_sched::{
-        EvalMode, Metric, PriorityPolicy, SearchOptions, SearchOutcome, SearchStats, SeedOptions,
-        SpillPolicyChoice, TraceOptions,
+        EvalMode, Metric, PriorityPolicy, SchedulerKind, SearchOptions, SearchOutcome, SearchRun,
+        SearchStats, SeedOptions, SpillPolicyChoice, TraceOptions,
     };
     pub use flexer_sim::{
         onchip_reference_traffic, schedule_energy, schedule_trace, validate_schedule, TrafficClass,

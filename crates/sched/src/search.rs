@@ -46,15 +46,10 @@ impl SpillPolicyChoice {
     }
 }
 
-/// How the `*_traced` search entry points record their run.
-///
-/// These options only configure *how* a trace is recorded (timestamp
-/// source and instrumentation depth). Recording itself is switched on
-/// by calling a traced entry point ([`crate::search_layer_traced`],
-/// [`crate::search_network_traced`], …); the untraced APIs never
-/// record, so carrying `TraceOptions` inside [`SearchOptions`] adds no
-/// overhead to them. Excluded from the memo key — tracing never
-/// changes a winner.
+/// How a traced [`Search`] records its run: timestamp source and
+/// instrumentation depth. Recording itself is switched on by setting
+/// [`Search::trace`]; untraced searches never record. Tracing never
+/// changes a winner, so it is no part of the memo key.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceOptions {
     /// Timestamp source. The default logical clock makes traces
@@ -206,11 +201,6 @@ pub struct SearchOptions {
     /// the winner does not depend on it.
     #[serde(default)]
     pub prune: bool,
-    /// Trace-recording configuration consumed by the `*_traced` entry
-    /// points (see [`TraceOptions`]). Inert everywhere else; excluded
-    /// from the memo key.
-    #[serde(default)]
-    pub trace: TraceOptions,
     /// Analytical incumbent seeding (see [`SeedOptions`]). Off by
     /// default; winner-neutral, so excluded from the memo key like
     /// [`SearchOptions::prune`].
@@ -243,7 +233,6 @@ impl Default for SearchOptions {
             collect_points: false,
             validate: false,
             prune: true,
-            trace: TraceOptions::default(),
             seed: SeedOptions::default(),
             residency: Residency::default(),
         }
@@ -580,652 +569,716 @@ fn replay_one(
     })
 }
 
-/// Searches a batch of layers over one flat work queue of
-/// `(layer, tiling, dataflow)` triples.
+/// One Algorithm-1 search request: which scheduler runs, on what
+/// hardware, under which options, and with which memo cache, deadline
+/// and trace recording. [`Search::run`] is the one search entry point;
+/// the static baseline (§5) is the same search with a different
+/// [`SchedulerKind`]. [`search_layer`] is shorthand for the plain
+/// out-of-order search of one layer.
 ///
-/// Workers pull triples off a single shared index, so a network search
-/// never serializes on layer boundaries: the last straggler tiling of
-/// layer *i* overlaps with layer *i+1*'s search. Layers that hit the
-/// memo cache, or that repeat an earlier in-batch shape, replay the
-/// winner with one scheduler run instead of contributing work items.
+/// # Examples
 ///
-/// The reduction per layer is deterministic in work order regardless of
-/// thread count. Returns the first failing layer's error (in layer
-/// order) if any layer fails.
-fn search_many(
-    kind: SchedulerKind,
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: Option<&MemoCache>,
-    deadline: Option<Instant>,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    let (results, _) = search_many_traced(
-        kind,
-        layers,
-        arch,
-        opts,
-        cache,
-        deadline,
-        Tracer::disabled(),
-    );
-    results.into_iter().collect()
+/// ```
+/// use flexer_arch::{ArchConfig, ArchPreset};
+/// use flexer_model::ConvLayer;
+/// use flexer_sched::{SchedulerKind, Search, SearchOptions};
+///
+/// let arch = ArchConfig::preset(ArchPreset::Arch1);
+/// let opts = SearchOptions::quick();
+/// let layers = [ConvLayer::new("conv", 32, 14, 14, 32)?];
+/// let baseline = Search {
+///     kind: SchedulerKind::Static,
+///     ..Search::new(&arch, &opts)
+/// }
+/// .run(&layers)
+/// .into_result()?;
+/// assert!(baseline[0].schedule.latency() > 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Search<'a> {
+    /// The scheduler every candidate runs.
+    pub kind: SchedulerKind,
+    /// The target hardware.
+    pub arch: &'a ArchConfig,
+    /// The search knobs.
+    pub opts: &'a SearchOptions,
+    /// A shared memo cache: layers whose key it holds replay the
+    /// recorded winner with one scheduler run, and every exact winner
+    /// is recorded. `None` searches every layer.
+    pub cache: Option<&'a MemoCache>,
+    /// An *anytime* deadline. Up to it the search is the exact
+    /// branch-and-bound search; once it expires, unstarted candidates
+    /// are left unresolved and each layer returns the best schedule
+    /// found so far with [`SearchOutcome::Anytime`] carrying a proven
+    /// optimality gap — `score / min(lower bound of the unresolved
+    /// candidates)`. The first candidate of every layer always runs,
+    /// even under an already-expired deadline, so every layer gets a
+    /// real, verifiable schedule. `None` runs to completion.
+    pub deadline: Option<Instant>,
+    /// Trace recording; `None` records nothing. With the default
+    /// logical clock the trace is byte-identical across runs when
+    /// `opts.threads == 1` (any options), or at any thread count with
+    /// `opts.prune == false`; under parallel pruning the incumbent
+    /// race decides when candidates are cut, which the trace records
+    /// faithfully.
+    pub trace: Option<TraceOptions>,
 }
 
-/// [`search_many`] with per-layer results and a recorded [`Trace`].
-///
-/// Lane 0 is the orchestrator: the search root span, per-leader bound
-/// pre-passes, per-layer reduction / replay / verification spans and
-/// the per-layer [`SearchStats`] counters. Work item *i* of the global
-/// queue records into lane `1 + i`, so span identity is a function of
-/// the deterministic work order, never of thread interleaving. With
-/// the default logical clock the drained trace is byte-identical
-/// across runs for `threads == 1` (any options) or any thread count
-/// with pruning disabled — under parallel pruning the incumbent race
-/// decides *when* a candidate is cut, which the per-candidate outcome
-/// attributes faithfully record.
-fn search_many_traced(
-    kind: SchedulerKind,
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: Option<&MemoCache>,
-    deadline: Option<Instant>,
-    tracer: Tracer,
-) -> (Vec<Result<LayerSearchResult, SchedError>>, Trace) {
-    let model = SystolicModel::new(arch);
-    let mut lane0 = tracer.lane(0, "search");
-    let root_span = lane0.is_enabled().then(|| {
-        let guard = lane0.enter("search");
-        lane0.attr(
-            "scheduler",
-            match kind {
-                SchedulerKind::Ooo => "ooo",
-                SchedulerKind::Static => "static",
-            },
-        );
-        lane0.attr("layers", layers.len());
-        guard
-    });
+/// What [`Search::run`] returns.
+#[derive(Debug)]
+pub struct SearchRun {
+    /// One result per layer, index-aligned with the searched layers. A
+    /// duplicate of a failed leader surfaces as
+    /// [`SchedError::DuplicateOf`] wrapping the leader's error.
+    pub results: Vec<Result<LayerSearchResult, SchedError>>,
+    /// The recorded trace — empty when the search was untraced, and
+    /// present even when layers failed, since failed searches are
+    /// exactly when a trace is most useful.
+    pub trace: Trace,
+}
 
-    // Classify layers: memo replays (§3's "memory function"), in-batch
-    // duplicates, and leaders that contribute work to the global queue.
-    // Point collection forces a full search of every layer.
-    let mut seen: HashMap<MemoKey, usize> = HashMap::new();
-    let mut roles: Vec<Role> = Vec::with_capacity(layers.len());
-    let mut work: Vec<(usize, TilingFactors, Dataflow)> = Vec::new();
-    for (li, layer) in layers.iter().enumerate() {
-        if !opts.collect_points {
-            let key = opts.memo_key(layer, arch, kind);
-            if let Some((factors, dataflow)) = cache.and_then(|c| c.get(&key)) {
-                roles.push(Role::Replay { factors, dataflow });
-                continue;
-            }
-            if let Some(&leader) = seen.get(&key) {
-                roles.push(Role::Duplicate { leader });
-                continue;
-            }
-            seen.insert(key, li);
-        }
-        let tilings = enumerate_tilings(layer, arch, &opts.tiling);
-        let start = work.len();
-        work.extend(
-            tilings
-                .iter()
-                .flat_map(|&f| opts.dataflows.iter().map(move |&d| (li, f, d))),
-        );
-        roles.push(Role::Leader {
-            span: (start, work.len()),
-        });
+impl SearchRun {
+    /// The results with the first failing layer's error, in layer
+    /// order, standing for the whole run.
+    ///
+    /// # Errors
+    ///
+    /// The first failing layer's error.
+    pub fn into_result(self) -> Result<Vec<LayerSearchResult>, SchedError> {
+        self.results.into_iter().collect()
     }
+}
 
-    // Branch-and-bound pre-pass. Admissible lower bounds are
-    // dataflow-independent, so one bound per (layer, tiling) covers the
-    // whole consecutive run of its dataflow work items. Each leader's
-    // span is then *executed* best-bound-first so strong incumbents
-    // form early, while the reduction below still scans the span in
-    // original work order — pruning never changes the winner (see
-    // DESIGN.md §10).
-    // Bounds are computed when pruning wants them *or* a deadline is
-    // set (an anytime result needs per-candidate bounds to prove its
-    // optimality gap); pruning additionally requires the bounds.
-    let bounds_enabled =
-        (opts.prune || deadline.is_some()) && !opts.collect_points && opts.metric.is_monotone();
-    let prune_enabled = opts.prune && bounds_enabled;
-    if root_span.is_some() {
-        lane0.attr("prune", prune_enabled);
-    }
-    let incumbents: Vec<Incumbent> = layers.iter().map(|_| Incumbent::new()).collect();
-    let mut bounds: Vec<f64> = Vec::new();
-    let mut bound_nanos: Vec<u64> = vec![0; layers.len()];
-    let mut exec_order: Vec<usize> = (0..work.len()).collect();
-    if bounds_enabled {
-        bounds = vec![0.0; work.len()];
-        for (li, role) in roles.iter().enumerate() {
-            let Role::Leader { span: (start, end) } = *role else {
-                continue;
-            };
-            let bound_span = lane0.is_enabled().then(|| {
-                let guard = lane0.enter("bound");
-                lane0.attr("layer", layers[li].name());
-                lane0.attr("candidates", end - start);
-                guard
-            });
-            let bound_start = Instant::now();
-            let mut i = start;
-            while i < end {
-                let factors = work[i].1;
-                let score =
-                    lower_bound_resident(&layers[li], arch, &model, &factors, opts.residency)
-                        .score(opts.metric);
-                while i < end && work[i].1 == factors {
-                    bounds[i] = score;
-                    i += 1;
-                }
-            }
-            bound_nanos[li] = bound_start.elapsed().as_nanos() as u64;
-            exec_order[start..end]
-                .sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-            if let Some(guard) = bound_span {
-                lane0.exit(guard);
-            }
+impl<'a> Search<'a> {
+    /// The plain out-of-order search on `arch` under `opts`: no memo
+    /// cache, no deadline, no trace.
+    #[must_use]
+    pub fn new(arch: &'a ArchConfig, opts: &'a SearchOptions) -> Self {
+        Self {
+            kind: SchedulerKind::Ooo,
+            arch,
+            opts,
+            cache: None,
+            deadline: None,
+            trace: None,
         }
     }
 
-    // Drain the queue, optionally across threads (§3's suggested
-    // parallelization). Each worker keeps its results in a private
-    // vector — no per-slot lock — and they are scattered back into
-    // work order afterwards.
-    let threads = match opts.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        n => n,
-    }
-    .min(work.len())
-    .max(1);
-
-    // Deadline bookkeeping. `expired` latches the first observation so
-    // later items skip the clock read; `started` guarantees the first
-    // item of every layer always runs — an anytime search must produce
-    // *a* schedule per layer, however late the deadline already is.
-    let expired = AtomicBool::new(false);
-    let started: Vec<AtomicBool> = layers.iter().map(|_| AtomicBool::new(false)).collect();
-
-    // Resolves work item `i`: bound-gate, schedule (with the layer's
-    // shared incumbent armed as a cutoff), record the incumbent. The
-    // item records into its own lane — identity `1 + i` pins the span
-    // order to the work queue, not the thread schedule.
-    let process = |i: usize| -> (RunOutcome, Lane) {
-        let (li, f, d) = work[i];
-        let mut lane = if tracer.is_enabled() {
-            tracer.lane(
-                1 + u32::try_from(i).expect("work queue fits in u32"),
-                format!("{}/{i}", layers[li].name()),
-            )
-        } else {
-            Lane::off()
-        };
-        let span = lane.is_enabled().then(|| {
-            let guard = lane.enter("candidate");
-            lane.attr("layer", layers[li].name());
-            lane.attr("tiling", f.to_string());
-            lane.attr("dataflow", format!("{d:?}"));
-            guard
-        });
-        let first = !started[li].swap(true, Ordering::Relaxed);
-        let cut = !first
-            && deadline.is_some_and(|d| {
-                expired.load(Ordering::Relaxed) || {
-                    let e = Instant::now() >= d;
-                    if e {
-                        expired.store(true, Ordering::Relaxed);
-                    }
-                    e
-                }
-            });
-        let outcome = if cut {
-            if span.is_some() {
-                lane.attr("outcome", "deadline");
-            }
-            RunOutcome::DeadlineCut
-        } else if prune_enabled && bounds[i] > incumbents[li].get() {
-            if span.is_some() {
-                lane.attr("outcome", "bounded");
-                lane.attr("bound", bounds[i]);
-            }
-            RunOutcome::Bounded
-        } else {
-            let cutoff = (prune_enabled && kind == SchedulerKind::Ooo)
-                .then(|| Cutoff::new(&incumbents[li], opts.metric));
-            match run_one(
-                kind,
-                &layers[li],
-                arch,
-                &model,
-                (f, d),
-                opts,
-                cutoff,
-                &mut lane,
-            ) {
-                Ok((schedule, stats)) => {
-                    let score = opts
-                        .metric
-                        .score(schedule.latency(), schedule.transfer_bytes());
-                    if prune_enabled {
-                        incumbents[li].observe(score);
-                    }
-                    if span.is_some() {
-                        lane.attr("outcome", "scheduled");
-                        lane.attr("latency", schedule.latency());
-                        lane.attr("transfer_bytes", schedule.transfer_bytes());
-                        lane.attr("score", score);
-                    }
-                    RunOutcome::Done(Box::new((schedule, stats)))
-                }
-                Err(SchedError::Pruned) => {
-                    if span.is_some() {
-                        lane.attr("outcome", "early-exit");
-                    }
-                    RunOutcome::EarlyExit
-                }
-                Err(e) => {
-                    if span.is_some() {
-                        lane.attr("outcome", "failed");
-                        lane.attr("error", e.to_string());
-                    }
-                    RunOutcome::Failed(e)
-                }
-            }
-        };
-        if let Some(guard) = span {
-            lane.exit(guard);
-        }
-        (outcome, lane)
-    };
-
-    // Solver seed pass (`flexer-solve`). For each leader the top-k
-    // analytically ranked candidates are fully evaluated *before* the
-    // drain, so every regular candidate already faces a near-optimal
-    // incumbent instead of one that warms up over the whole queue.
-    // Strict cutoffs keep this winner-neutral (see DESIGN.md §13).
-    // Requires pruning: a seed without a cutoff to arm does nothing.
-    let seed_enabled = opts.seed.enabled && prune_enabled;
-    let mut seeded: Vec<bool> = vec![false; work.len()];
-    let mut seed_errors: Vec<Option<SchedError>> = layers.iter().map(|_| None).collect();
-    let mut seed_scores: Vec<f64> = vec![f64::INFINITY; layers.len()];
-    let mut seed_gap_ppms: Vec<u64> = vec![0; layers.len()];
-    let mut seed_nanos: Vec<u64> = vec![0; layers.len()];
-    let mut seed_results: Vec<(usize, (RunOutcome, Lane))> = Vec::new();
-    if seed_enabled {
-        for (li, role) in roles.iter().enumerate() {
-            let Role::Leader { span: (start, end) } = *role else {
-                continue;
-            };
-            if start == end {
-                continue;
-            }
-            let seed_span = lane0.is_enabled().then(|| {
-                let guard = lane0.enter("seed");
-                lane0.attr("layer", layers[li].name());
-                guard
-            });
-            let seed_start = Instant::now();
-            let min_bound = bounds[start..end]
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-            match opts.seed.inject {
-                // An injected score below every candidate's admissible
-                // floor would cut the whole layer — reject it up front.
-                Some(inject) if inject < min_bound => {
-                    if seed_span.is_some() {
-                        lane0.attr("outcome", "inadmissible");
-                    }
-                    seed_errors[li] = Some(SchedError::InadmissibleSeed {
-                        layer: layers[li].name().to_owned(),
-                        seed_score_bits: inject.to_bits(),
-                        bound_score_bits: min_bound.to_bits(),
-                    });
-                }
-                Some(inject) => {
-                    incumbents[li].observe(inject);
-                    if seed_span.is_some() {
-                        lane0.attr("outcome", "injected");
-                    }
-                }
-                None => {
-                    let mut est: Vec<(f64, usize)> = (start..end)
-                        .map(|i| {
-                            let e = flexer_solve::estimate_resident(
-                                &layers[li],
-                                arch,
-                                &model,
-                                &work[i].1,
-                                work[i].2,
-                                opts.residency,
-                            );
-                            (opts.metric.score(e.latency, e.transfer_bytes), i)
-                        })
-                        .collect();
-                    est.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    let k = opts.seed.top_k.max(1).min(est.len());
-                    for &(_, i) in &est[..k] {
-                        seeded[i] = true;
-                        seed_results.push((i, process(i)));
-                    }
-                    if seed_span.is_some() {
-                        lane0.attr("outcome", "evaluated");
-                        lane0.attr("evaluated", k);
-                    }
-                }
-            }
-            let score = incumbents[li].get();
-            seed_scores[li] = score;
-            if seed_errors[li].is_none() {
-                seed_gap_ppms[li] = flexer_solve::gap_ppm(score, min_bound);
-            }
-            seed_nanos[li] = seed_start.elapsed().as_nanos() as u64;
-            if let Some(guard) = seed_span {
-                lane0.attr("score", score);
-                lane0.attr("gap_ppm", seed_gap_ppms[li]);
-                lane0.exit(guard);
-            }
-        }
-        // Seeded items already ran; a seed-poisoned layer runs nothing.
-        exec_order.retain(|&i| !seeded[i] && seed_errors[work[i].0].is_none());
-    }
-
-    let mut results: Vec<Option<(RunOutcome, Lane)>> = if threads == 1 {
-        let mut slots: Vec<Option<(RunOutcome, Lane)>> = work.iter().map(|_| None).collect();
-        for &i in &exec_order {
-            slots[i] = Some(process(i));
-        }
-        slots
-    } else {
-        let next = AtomicUsize::new(0);
-        let locals: Vec<Vec<(usize, (RunOutcome, Lane))>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let n = next.fetch_add(1, Ordering::Relaxed);
-                            if n >= exec_order.len() {
-                                break;
-                            }
-                            let i = exec_order[n];
-                            local.push((i, process(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<(RunOutcome, Lane)>> = work.iter().map(|_| None).collect();
-        for (i, r) in locals.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-    };
-    for (i, r) in seed_results {
-        results[i] = Some(r);
-    }
-
-    // Deterministic per-layer reduction in work order. Leaders always
-    // precede their duplicates, so a single in-order pass resolves
-    // every role. Candidate lanes drain into the trace here, in work
-    // order.
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut out: Vec<Result<LayerSearchResult, SchedError>> = Vec::with_capacity(layers.len());
-    for (li, role) in roles.iter().enumerate() {
-        let layer = &layers[li];
-        let layer_span = lane0.is_enabled().then(|| {
-            let guard = lane0.enter("layer");
-            lane0.attr("name", layer.name());
+    /// Searches a batch of layers over one flat work queue of
+    /// `(layer, tiling, dataflow)` triples.
+    ///
+    /// Workers pull triples off a single shared index, so a network
+    /// search never serializes on layer boundaries: the last straggler
+    /// tiling of layer *i* overlaps with layer *i+1*'s search. Layers
+    /// that hit the memo cache, or that repeat an earlier in-batch
+    /// shape, replay the winner with one scheduler run instead of
+    /// contributing work items. The reduction per layer is
+    /// deterministic in work order regardless of thread count, so the
+    /// results equal per-layer searches.
+    ///
+    /// Lane 0 of the trace is the orchestrator: the search root span,
+    /// per-leader bound pre-passes, per-layer reduction / replay /
+    /// verification spans and the per-layer [`SearchStats`] counters.
+    /// Work item *i* of the global queue records into lane `1 + i`, so
+    /// span identity is a function of the deterministic work order,
+    /// never of thread interleaving.
+    #[must_use]
+    pub fn run(&self, layers: &[ConvLayer]) -> SearchRun {
+        let Search {
+            kind,
+            arch,
+            opts,
+            cache,
+            deadline,
+            trace,
+        } = *self;
+        let tracer = trace.map_or_else(Tracer::disabled, |t| t.tracer());
+        let model = SystolicModel::new(arch);
+        let mut lane0 = tracer.lane(0, "search");
+        let root_span = lane0.is_enabled().then(|| {
+            let guard = lane0.enter("search");
             lane0.attr(
-                "role",
-                match role {
-                    Role::Leader { .. } => "leader",
-                    Role::Duplicate { .. } => "duplicate",
-                    Role::Replay { .. } => "replay",
+                "scheduler",
+                match kind {
+                    SchedulerKind::Ooo => "ooo",
+                    SchedulerKind::Static => "static",
                 },
             );
+            lane0.attr("layers", layers.len());
             guard
         });
-        let resolved = match *role {
-            Role::Replay { factors, dataflow } => replay_one(
-                kind, layer, arch, &model, factors, dataflow, opts, &mut lane0,
-            ),
-            Role::Duplicate { leader } => match &out[leader] {
-                // The duplicate inherits the leader's outcome: a
-                // deadline-cut leader's winner is not proven optimal
-                // for the duplicate either.
-                Ok(lead) => replay_one(
-                    kind,
-                    layer,
-                    arch,
-                    &model,
-                    lead.factors,
-                    lead.dataflow,
-                    opts,
-                    &mut lane0,
-                )
-                .map(|mut r| {
-                    r.outcome = lead.outcome;
-                    r
-                }),
-                // The replayed error names the layer whose search
-                // actually ran (the leader), not this duplicate.
-                Err(e) => Err(SchedError::DuplicateOf {
-                    leader: layers[leader].name().to_owned(),
-                    error: Box::new(e.clone()),
-                }),
-            },
-            Role::Leader { span: (start, end) } => {
-                if let Some(e) = seed_errors[li].take() {
-                    // A seed-poisoned layer ran no work items: its
-                    // slots are still empty, so the typed error must
-                    // win before the scan below would panic on them.
-                    Err(e)
-                } else {
-                    let mut best: Option<(usize, Schedule, f64)> = None;
-                    let mut points = Vec::new();
-                    let mut first_err: Option<SchedError> = None;
-                    let mut evaluated = 0usize;
-                    let mut cut = 0u64;
-                    let mut cut_min_bound = f64::INFINITY;
-                    let mut stats = SearchStats::default();
-                    if bounds_enabled {
-                        stats.candidates_bounded += (end - start) as u64;
-                        stats.bound_nanos += bound_nanos[li];
-                    }
-                    stats.seed_nanos += seed_nanos[li];
-                    stats.seed_gap_ppm += seed_gap_ppms[li];
-                    // Original work order, NOT execution order: a pruned
-                    // candidate can never beat (nor tie) the incumbent, so
-                    // keeping the first strict minimum over the surviving
-                    // candidates reproduces the exhaustive search's
-                    // first-in-work-order tie-break exactly.
-                    for i in start..end {
-                        let (outcome, lane) = results[i].take().expect("every work item processed");
-                        lanes.push(lane);
-                        match outcome {
-                            RunOutcome::Done(done) => {
-                                let (schedule, run_stats) = *done;
-                                evaluated += 1;
-                                stats.merge(&run_stats);
-                                let score = opts
-                                    .metric
-                                    .score(schedule.latency(), schedule.transfer_bytes());
-                                if opts.collect_points {
-                                    points.push(SchedulePoint {
-                                        factors: work[i].1,
-                                        dataflow: work[i].2,
-                                        latency: schedule.latency(),
-                                        transfer_bytes: schedule.transfer_bytes(),
-                                        score,
-                                    });
-                                }
-                                if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                                    best = Some((i, schedule, score));
-                                }
-                            }
-                            RunOutcome::Bounded => {
-                                evaluated += 1;
-                                stats.candidates_pruned += 1;
-                                // The seed's score alone was enough to
-                                // cut this candidate.
-                                if bounds[i] > seed_scores[li] {
-                                    stats.seeded_cutoffs += 1;
-                                }
-                            }
-                            RunOutcome::EarlyExit => {
-                                evaluated += 1;
-                                stats.early_exits += 1;
-                            }
-                            RunOutcome::DeadlineCut => {
-                                cut += 1;
-                                if bounds_enabled {
-                                    cut_min_bound = cut_min_bound.min(bounds[i]);
-                                }
-                            }
-                            RunOutcome::Failed(e) => first_err = first_err.or(Some(e)),
-                        }
-                    }
-                    match best {
-                        Some((i, schedule, score)) => {
-                            let outcome = if cut == 0 {
-                                SearchOutcome::Exact
-                            } else if !bounds_enabled {
-                                // Unresolved candidates with no bounds:
-                                // nothing provable about the gap.
-                                SearchOutcome::Anytime { gap: f64::INFINITY }
-                            } else if cut_min_bound >= score {
-                                // Every unresolved candidate provably
-                                // cannot beat the result — but the
-                                // search was still not exhaustive, so
-                                // it is not cached as exact.
-                                SearchOutcome::Anytime { gap: 1.0 }
-                            } else {
-                                SearchOutcome::Anytime {
-                                    gap: score / cut_min_bound,
-                                }
-                            };
-                            if outcome.is_exact() {
-                                if let Some(c) = cache {
-                                    c.insert(
-                                        opts.memo_key(layer, arch, kind),
-                                        work[i].1,
-                                        work[i].2,
-                                    );
-                                }
-                            }
-                            Ok(LayerSearchResult {
-                                layer: layer.name().to_owned(),
-                                schedule,
-                                factors: work[i].1,
-                                dataflow: work[i].2,
-                                score,
-                                evaluated,
-                                points,
-                                stats,
-                                outcome,
-                            })
-                        }
-                        // An admissible-looking injected seed that still
-                        // cut every candidate sat between the layer's
-                        // best bound and its true optimum — inadmissible
-                        // after the fact.
-                        None => match (first_err, opts.seed.inject) {
-                            (Some(e), _) => Err(e),
-                            (None, Some(inject)) if seed_enabled && end > start => {
-                                let min_bound = bounds[start..end]
-                                    .iter()
-                                    .copied()
-                                    .fold(f64::INFINITY, f64::min);
-                                Err(SchedError::InadmissibleSeed {
-                                    layer: layer.name().to_owned(),
-                                    seed_score_bits: inject.to_bits(),
-                                    bound_score_bits: min_bound.to_bits(),
-                                })
-                            }
-                            _ => Err(SchedError::NoViableTiling {
-                                layer: layer.name().to_owned(),
-                            }),
-                        },
+
+        // Classify layers: memo replays (§3's "memory function"), in-batch
+        // duplicates, and leaders that contribute work to the global queue.
+        // Point collection forces a full search of every layer.
+        let mut seen: HashMap<MemoKey, usize> = HashMap::new();
+        let mut roles: Vec<Role> = Vec::with_capacity(layers.len());
+        let mut work: Vec<(usize, TilingFactors, Dataflow)> = Vec::new();
+        for (li, layer) in layers.iter().enumerate() {
+            if !opts.collect_points {
+                let key = opts.memo_key(layer, arch, kind);
+                if let Some((factors, dataflow)) = cache.and_then(|c| c.get(&key)) {
+                    roles.push(Role::Replay { factors, dataflow });
+                    continue;
+                }
+                if let Some(&leader) = seen.get(&key) {
+                    roles.push(Role::Duplicate { leader });
+                    continue;
+                }
+                seen.insert(key, li);
+            }
+            let tilings = enumerate_tilings(layer, arch, &opts.tiling);
+            let start = work.len();
+            work.extend(
+                tilings
+                    .iter()
+                    .flat_map(|&f| opts.dataflows.iter().map(move |&d| (li, f, d))),
+            );
+            roles.push(Role::Leader {
+                span: (start, work.len()),
+            });
+        }
+
+        // Branch-and-bound pre-pass. Admissible lower bounds are
+        // dataflow-independent, so one bound per (layer, tiling) covers the
+        // whole consecutive run of its dataflow work items. Each leader's
+        // span is then *executed* best-bound-first so strong incumbents
+        // form early, while the reduction below still scans the span in
+        // original work order — pruning never changes the winner (see
+        // DESIGN.md §10).
+        // Bounds are computed when pruning wants them *or* a deadline is
+        // set (an anytime result needs per-candidate bounds to prove its
+        // optimality gap); pruning additionally requires the bounds.
+        let bounds_enabled =
+            (opts.prune || deadline.is_some()) && !opts.collect_points && opts.metric.is_monotone();
+        let prune_enabled = opts.prune && bounds_enabled;
+        if root_span.is_some() {
+            lane0.attr("prune", prune_enabled);
+        }
+        let incumbents: Vec<Incumbent> = layers.iter().map(|_| Incumbent::new()).collect();
+        let mut bounds: Vec<f64> = Vec::new();
+        let mut bound_nanos: Vec<u64> = vec![0; layers.len()];
+        let mut exec_order: Vec<usize> = (0..work.len()).collect();
+        if bounds_enabled {
+            bounds = vec![0.0; work.len()];
+            for (li, role) in roles.iter().enumerate() {
+                let Role::Leader { span: (start, end) } = *role else {
+                    continue;
+                };
+                let bound_span = lane0.is_enabled().then(|| {
+                    let guard = lane0.enter("bound");
+                    lane0.attr("layer", layers[li].name());
+                    lane0.attr("candidates", end - start);
+                    guard
+                });
+                let bound_start = Instant::now();
+                let mut i = start;
+                while i < end {
+                    let factors = work[i].1;
+                    let score =
+                        lower_bound_resident(&layers[li], arch, &model, &factors, opts.residency)
+                            .score(opts.metric);
+                    while i < end && work[i].1 == factors {
+                        bounds[i] = score;
+                        i += 1;
                     }
                 }
-            }
-        };
-        let resolved = if opts.validate {
-            resolved.and_then(|mut r| {
-                let verify_span = lane0.is_enabled().then(|| lane0.enter("verify"));
-                let verified = verify_winner(kind, layer, arch, &model, opts, &mut r);
-                if let Some(guard) = verify_span {
-                    lane0.attr("ok", verified.is_ok());
+                bound_nanos[li] = bound_start.elapsed().as_nanos() as u64;
+                exec_order[start..end]
+                    .sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+                if let Some(guard) = bound_span {
                     lane0.exit(guard);
                 }
-                verified.map(|()| r)
-            })
-        } else {
-            resolved
-        };
-        if let Some(guard) = layer_span {
-            match &resolved {
-                Ok(r) => {
-                    lane0.attr("outcome", "ok");
-                    lane0.attr("evaluated", r.evaluated);
-                    lane0.attr("score", r.score);
-                    lane0.attr("latency", r.schedule.latency());
-                    lane0.attr("transfer_bytes", r.schedule.transfer_bytes());
-                    if let SearchOutcome::Anytime { gap } = r.outcome {
-                        lane0.attr("gap", gap);
+            }
+        }
+
+        // Drain the queue, optionally across threads (§3's suggested
+        // parallelization). Each worker keeps its results in a private
+        // vector — no per-slot lock — and they are scattered back into
+        // work order afterwards.
+        let threads = match opts.threads {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        }
+        .min(work.len())
+        .max(1);
+
+        // Deadline bookkeeping. `expired` latches the first observation so
+        // later items skip the clock read; `started` guarantees the first
+        // item of every layer always runs — an anytime search must produce
+        // *a* schedule per layer, however late the deadline already is.
+        let expired = AtomicBool::new(false);
+        let started: Vec<AtomicBool> = layers.iter().map(|_| AtomicBool::new(false)).collect();
+
+        // Resolves work item `i`: bound-gate, schedule (with the layer's
+        // shared incumbent armed as a cutoff), record the incumbent. The
+        // item records into its own lane — identity `1 + i` pins the span
+        // order to the work queue, not the thread schedule.
+        let process = |i: usize| -> (RunOutcome, Lane) {
+            let (li, f, d) = work[i];
+            let mut lane = if tracer.is_enabled() {
+                tracer.lane(
+                    1 + u32::try_from(i).expect("work queue fits in u32"),
+                    format!("{}/{i}", layers[li].name()),
+                )
+            } else {
+                Lane::off()
+            };
+            let span = lane.is_enabled().then(|| {
+                let guard = lane.enter("candidate");
+                lane.attr("layer", layers[li].name());
+                lane.attr("tiling", f.to_string());
+                lane.attr("dataflow", format!("{d:?}"));
+                guard
+            });
+            let first = !started[li].swap(true, Ordering::Relaxed);
+            let cut = !first
+                && deadline.is_some_and(|d| {
+                    expired.load(Ordering::Relaxed) || {
+                        let e = Instant::now() >= d;
+                        if e {
+                            expired.store(true, Ordering::Relaxed);
+                        }
+                        e
                     }
-                    r.stats.record_counters(&mut lane0);
+                });
+            let outcome = if cut {
+                if span.is_some() {
+                    lane.attr("outcome", "deadline");
                 }
-                Err(e) => {
-                    lane0.attr("outcome", "failed");
-                    lane0.attr("error", e.to_string());
+                RunOutcome::DeadlineCut
+            } else if prune_enabled && bounds[i] > incumbents[li].get() {
+                if span.is_some() {
+                    lane.attr("outcome", "bounded");
+                    lane.attr("bound", bounds[i]);
+                }
+                RunOutcome::Bounded
+            } else {
+                let cutoff = (prune_enabled && kind == SchedulerKind::Ooo)
+                    .then(|| Cutoff::new(&incumbents[li], opts.metric));
+                match run_one(
+                    kind,
+                    &layers[li],
+                    arch,
+                    &model,
+                    (f, d),
+                    opts,
+                    cutoff,
+                    &mut lane,
+                ) {
+                    Ok((schedule, stats)) => {
+                        let score = opts
+                            .metric
+                            .score(schedule.latency(), schedule.transfer_bytes());
+                        if prune_enabled {
+                            incumbents[li].observe(score);
+                        }
+                        if span.is_some() {
+                            lane.attr("outcome", "scheduled");
+                            lane.attr("latency", schedule.latency());
+                            lane.attr("transfer_bytes", schedule.transfer_bytes());
+                            lane.attr("score", score);
+                        }
+                        RunOutcome::Done(Box::new((schedule, stats)))
+                    }
+                    Err(SchedError::Pruned) => {
+                        if span.is_some() {
+                            lane.attr("outcome", "early-exit");
+                        }
+                        RunOutcome::EarlyExit
+                    }
+                    Err(e) => {
+                        if span.is_some() {
+                            lane.attr("outcome", "failed");
+                            lane.attr("error", e.to_string());
+                        }
+                        RunOutcome::Failed(e)
+                    }
+                }
+            };
+            if let Some(guard) = span {
+                lane.exit(guard);
+            }
+            (outcome, lane)
+        };
+
+        // Solver seed pass (`flexer-solve`). For each leader the top-k
+        // analytically ranked candidates are fully evaluated *before* the
+        // drain, so every regular candidate already faces a near-optimal
+        // incumbent instead of one that warms up over the whole queue.
+        // Strict cutoffs keep this winner-neutral (see DESIGN.md §13).
+        // Requires pruning: a seed without a cutoff to arm does nothing.
+        let seed_enabled = opts.seed.enabled && prune_enabled;
+        let mut seeded: Vec<bool> = vec![false; work.len()];
+        let mut seed_errors: Vec<Option<SchedError>> = layers.iter().map(|_| None).collect();
+        let mut seed_scores: Vec<f64> = vec![f64::INFINITY; layers.len()];
+        let mut seed_gap_ppms: Vec<u64> = vec![0; layers.len()];
+        let mut seed_nanos: Vec<u64> = vec![0; layers.len()];
+        let mut seed_results: Vec<(usize, (RunOutcome, Lane))> = Vec::new();
+        if seed_enabled {
+            for (li, role) in roles.iter().enumerate() {
+                let Role::Leader { span: (start, end) } = *role else {
+                    continue;
+                };
+                if start == end {
+                    continue;
+                }
+                let seed_span = lane0.is_enabled().then(|| {
+                    let guard = lane0.enter("seed");
+                    lane0.attr("layer", layers[li].name());
+                    guard
+                });
+                let seed_start = Instant::now();
+                let min_bound = bounds[start..end]
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                match opts.seed.inject {
+                    // An injected score below every candidate's admissible
+                    // floor would cut the whole layer — reject it up front.
+                    Some(inject) if inject < min_bound => {
+                        if seed_span.is_some() {
+                            lane0.attr("outcome", "inadmissible");
+                        }
+                        seed_errors[li] = Some(SchedError::InadmissibleSeed {
+                            layer: layers[li].name().to_owned(),
+                            seed_score_bits: inject.to_bits(),
+                            bound_score_bits: min_bound.to_bits(),
+                        });
+                    }
+                    Some(inject) => {
+                        incumbents[li].observe(inject);
+                        if seed_span.is_some() {
+                            lane0.attr("outcome", "injected");
+                        }
+                    }
+                    None => {
+                        let mut est: Vec<(f64, usize)> = (start..end)
+                            .map(|i| {
+                                let e = flexer_solve::estimate_resident(
+                                    &layers[li],
+                                    arch,
+                                    &model,
+                                    &work[i].1,
+                                    work[i].2,
+                                    opts.residency,
+                                );
+                                (opts.metric.score(e.latency, e.transfer_bytes), i)
+                            })
+                            .collect();
+                        est.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        let k = opts.seed.top_k.max(1).min(est.len());
+                        for &(_, i) in &est[..k] {
+                            seeded[i] = true;
+                            seed_results.push((i, process(i)));
+                        }
+                        if seed_span.is_some() {
+                            lane0.attr("outcome", "evaluated");
+                            lane0.attr("evaluated", k);
+                        }
+                    }
+                }
+                let score = incumbents[li].get();
+                seed_scores[li] = score;
+                if seed_errors[li].is_none() {
+                    seed_gap_ppms[li] = flexer_solve::gap_ppm(score, min_bound);
+                }
+                seed_nanos[li] = seed_start.elapsed().as_nanos() as u64;
+                if let Some(guard) = seed_span {
+                    lane0.attr("score", score);
+                    lane0.attr("gap_ppm", seed_gap_ppms[li]);
+                    lane0.exit(guard);
                 }
             }
+            // Seeded items already ran; a seed-poisoned layer runs nothing.
+            exec_order.retain(|&i| !seeded[i] && seed_errors[work[i].0].is_none());
+        }
+
+        let mut results: Vec<Option<(RunOutcome, Lane)>> = if threads == 1 {
+            let mut slots: Vec<Option<(RunOutcome, Lane)>> = work.iter().map(|_| None).collect();
+            for &i in &exec_order {
+                slots[i] = Some(process(i));
+            }
+            slots
+        } else {
+            let next = AtomicUsize::new(0);
+            let locals: Vec<Vec<(usize, (RunOutcome, Lane))>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut local = Vec::new();
+                            loop {
+                                let n = next.fetch_add(1, Ordering::Relaxed);
+                                if n >= exec_order.len() {
+                                    break;
+                                }
+                                let i = exec_order[n];
+                                local.push((i, process(i)));
+                            }
+                            local
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("search worker panicked"))
+                    .collect()
+            });
+            let mut slots: Vec<Option<(RunOutcome, Lane)>> = work.iter().map(|_| None).collect();
+            for (i, r) in locals.into_iter().flatten() {
+                slots[i] = Some(r);
+            }
+            slots
+        };
+        for (i, r) in seed_results {
+            results[i] = Some(r);
+        }
+
+        // Deterministic per-layer reduction in work order. Leaders always
+        // precede their duplicates, so a single in-order pass resolves
+        // every role. Candidate lanes drain into the trace here, in work
+        // order.
+        let mut lanes: Vec<Lane> = Vec::new();
+        let mut out: Vec<Result<LayerSearchResult, SchedError>> = Vec::with_capacity(layers.len());
+        for (li, role) in roles.iter().enumerate() {
+            let layer = &layers[li];
+            let layer_span = lane0.is_enabled().then(|| {
+                let guard = lane0.enter("layer");
+                lane0.attr("name", layer.name());
+                lane0.attr(
+                    "role",
+                    match role {
+                        Role::Leader { .. } => "leader",
+                        Role::Duplicate { .. } => "duplicate",
+                        Role::Replay { .. } => "replay",
+                    },
+                );
+                guard
+            });
+            let resolved = match *role {
+                Role::Replay { factors, dataflow } => replay_one(
+                    kind, layer, arch, &model, factors, dataflow, opts, &mut lane0,
+                ),
+                Role::Duplicate { leader } => match &out[leader] {
+                    // The duplicate inherits the leader's outcome: a
+                    // deadline-cut leader's winner is not proven optimal
+                    // for the duplicate either.
+                    Ok(lead) => replay_one(
+                        kind,
+                        layer,
+                        arch,
+                        &model,
+                        lead.factors,
+                        lead.dataflow,
+                        opts,
+                        &mut lane0,
+                    )
+                    .map(|mut r| {
+                        r.outcome = lead.outcome;
+                        r
+                    }),
+                    // The replayed error names the layer whose search
+                    // actually ran (the leader), not this duplicate.
+                    Err(e) => Err(SchedError::DuplicateOf {
+                        leader: layers[leader].name().to_owned(),
+                        error: Box::new(e.clone()),
+                    }),
+                },
+                Role::Leader { span: (start, end) } => {
+                    if let Some(e) = seed_errors[li].take() {
+                        // A seed-poisoned layer ran no work items: its
+                        // slots are still empty, so the typed error must
+                        // win before the scan below would panic on them.
+                        Err(e)
+                    } else {
+                        let mut best: Option<(usize, Schedule, f64)> = None;
+                        let mut points = Vec::new();
+                        let mut first_err: Option<SchedError> = None;
+                        let mut evaluated = 0usize;
+                        let mut cut = 0u64;
+                        let mut cut_min_bound = f64::INFINITY;
+                        let mut stats = SearchStats::default();
+                        if bounds_enabled {
+                            stats.candidates_bounded += (end - start) as u64;
+                            stats.bound_nanos += bound_nanos[li];
+                        }
+                        stats.seed_nanos += seed_nanos[li];
+                        stats.seed_gap_ppm += seed_gap_ppms[li];
+                        // Original work order, NOT execution order: a pruned
+                        // candidate can never beat (nor tie) the incumbent, so
+                        // keeping the first strict minimum over the surviving
+                        // candidates reproduces the exhaustive search's
+                        // first-in-work-order tie-break exactly.
+                        for i in start..end {
+                            let (outcome, lane) =
+                                results[i].take().expect("every work item processed");
+                            lanes.push(lane);
+                            match outcome {
+                                RunOutcome::Done(done) => {
+                                    let (schedule, run_stats) = *done;
+                                    evaluated += 1;
+                                    stats.merge(&run_stats);
+                                    let score = opts
+                                        .metric
+                                        .score(schedule.latency(), schedule.transfer_bytes());
+                                    if opts.collect_points {
+                                        points.push(SchedulePoint {
+                                            factors: work[i].1,
+                                            dataflow: work[i].2,
+                                            latency: schedule.latency(),
+                                            transfer_bytes: schedule.transfer_bytes(),
+                                            score,
+                                        });
+                                    }
+                                    if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
+                                        best = Some((i, schedule, score));
+                                    }
+                                }
+                                RunOutcome::Bounded => {
+                                    evaluated += 1;
+                                    stats.candidates_pruned += 1;
+                                    // The seed's score alone was enough to
+                                    // cut this candidate.
+                                    if bounds[i] > seed_scores[li] {
+                                        stats.seeded_cutoffs += 1;
+                                    }
+                                }
+                                RunOutcome::EarlyExit => {
+                                    evaluated += 1;
+                                    stats.early_exits += 1;
+                                }
+                                RunOutcome::DeadlineCut => {
+                                    cut += 1;
+                                    if bounds_enabled {
+                                        cut_min_bound = cut_min_bound.min(bounds[i]);
+                                    }
+                                }
+                                RunOutcome::Failed(e) => first_err = first_err.or(Some(e)),
+                            }
+                        }
+                        match best {
+                            Some((i, schedule, score)) => {
+                                let outcome = if cut == 0 {
+                                    SearchOutcome::Exact
+                                } else if !bounds_enabled {
+                                    // Unresolved candidates with no bounds:
+                                    // nothing provable about the gap.
+                                    SearchOutcome::Anytime { gap: f64::INFINITY }
+                                } else if cut_min_bound >= score {
+                                    // Every unresolved candidate provably
+                                    // cannot beat the result — but the
+                                    // search was still not exhaustive, so
+                                    // it is not cached as exact.
+                                    SearchOutcome::Anytime { gap: 1.0 }
+                                } else {
+                                    SearchOutcome::Anytime {
+                                        gap: score / cut_min_bound,
+                                    }
+                                };
+                                if outcome.is_exact() {
+                                    if let Some(c) = cache {
+                                        c.insert(
+                                            opts.memo_key(layer, arch, kind),
+                                            work[i].1,
+                                            work[i].2,
+                                        );
+                                    }
+                                }
+                                Ok(LayerSearchResult {
+                                    layer: layer.name().to_owned(),
+                                    schedule,
+                                    factors: work[i].1,
+                                    dataflow: work[i].2,
+                                    score,
+                                    evaluated,
+                                    points,
+                                    stats,
+                                    outcome,
+                                })
+                            }
+                            // An admissible-looking injected seed that still
+                            // cut every candidate sat between the layer's
+                            // best bound and its true optimum — inadmissible
+                            // after the fact.
+                            None => match (first_err, opts.seed.inject) {
+                                (Some(e), _) => Err(e),
+                                (None, Some(inject)) if seed_enabled && end > start => {
+                                    let min_bound = bounds[start..end]
+                                        .iter()
+                                        .copied()
+                                        .fold(f64::INFINITY, f64::min);
+                                    Err(SchedError::InadmissibleSeed {
+                                        layer: layer.name().to_owned(),
+                                        seed_score_bits: inject.to_bits(),
+                                        bound_score_bits: min_bound.to_bits(),
+                                    })
+                                }
+                                _ => Err(SchedError::NoViableTiling {
+                                    layer: layer.name().to_owned(),
+                                }),
+                            },
+                        }
+                    }
+                }
+            };
+            let resolved = if opts.validate {
+                resolved.and_then(|mut r| {
+                    let verify_span = lane0.is_enabled().then(|| lane0.enter("verify"));
+                    let verified = verify_winner(kind, layer, arch, &model, opts, &mut r);
+                    if let Some(guard) = verify_span {
+                        lane0.attr("ok", verified.is_ok());
+                        lane0.exit(guard);
+                    }
+                    verified.map(|()| r)
+                })
+            } else {
+                resolved
+            };
+            if let Some(guard) = layer_span {
+                match &resolved {
+                    Ok(r) => {
+                        lane0.attr("outcome", "ok");
+                        lane0.attr("evaluated", r.evaluated);
+                        lane0.attr("score", r.score);
+                        lane0.attr("latency", r.schedule.latency());
+                        lane0.attr("transfer_bytes", r.schedule.transfer_bytes());
+                        if let SearchOutcome::Anytime { gap } = r.outcome {
+                            lane0.attr("gap", gap);
+                        }
+                        r.stats.record_counters(&mut lane0);
+                    }
+                    Err(e) => {
+                        lane0.attr("outcome", "failed");
+                        lane0.attr("error", e.to_string());
+                    }
+                }
+                lane0.exit(guard);
+            }
+            out.push(resolved);
+        }
+
+        if let Some(guard) = root_span {
             lane0.exit(guard);
         }
-        out.push(resolved);
+        let mut all_lanes = Vec::with_capacity(lanes.len() + 1);
+        all_lanes.push(lane0);
+        all_lanes.extend(lanes);
+        SearchRun {
+            results: out,
+            trace: Trace::from_lanes(tracer.config(), all_lanes),
+        }
     }
 
-    if let Some(guard) = root_span {
-        lane0.exit(guard);
+    /// [`Search::run`] on one layer.
+    fn run_layer(&self, layer: &ConvLayer) -> Result<LayerSearchResult, SchedError> {
+        let mut run = self.run(std::slice::from_ref(layer));
+        run.results.pop().expect("one layer in, one result out")
     }
-    let mut all_lanes = Vec::with_capacity(lanes.len() + 1);
-    all_lanes.push(lane0);
-    all_lanes.extend(lanes);
-    (out, Trace::from_lanes(tracer.config(), all_lanes))
-}
-
-fn search(
-    kind: SchedulerKind,
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: Option<&MemoCache>,
-    deadline: Option<Instant>,
-) -> Result<LayerSearchResult, SchedError> {
-    search_many(
-        kind,
-        std::slice::from_ref(layer),
-        arch,
-        opts,
-        cache,
-        deadline,
-    )
-    .map(|mut v| v.pop().expect("one layer in, one result out"))
 }
 
 /// Finds the best out-of-order schedule of `layer` on `arch` — the
-/// paper's Algorithm 1.
+/// paper's Algorithm 1. Shorthand for a one-layer [`Search::new`] run.
 ///
 /// # Errors
 ///
@@ -1236,190 +1289,7 @@ pub fn search_layer(
     arch: &ArchConfig,
     opts: &SearchOptions,
 ) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Ooo, layer, arch, opts, None, None)
-}
-
-/// [`search_layer`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_cached(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Ooo, layer, arch, opts, Some(cache), None)
-}
-
-/// Finds the best *static loop-order* schedule of `layer` on `arch` —
-/// the paper's baseline (§5): exhaustive search over data-stationary
-/// models (loop orders) and viable tiling sizes, executed in order.
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_static(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Static, layer, arch, opts, None, None)
-}
-
-/// [`search_layer_static`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_static_cached(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Static, layer, arch, opts, Some(cache), None)
-}
-
-/// Searches every layer of a network over one shared work queue — the
-/// multi-layer form of [`search_layer`].
-///
-/// All `(layer, tiling, dataflow)` triples feed one queue, so worker
-/// threads never idle at a layer boundary while a straggler tiling of
-/// the previous layer finishes. Repeated layer shapes are searched
-/// once and replayed. Results are index-aligned with `layers` and
-/// identical to per-layer [`search_layer`] calls.
-///
-/// # Errors
-///
-/// The first failing layer's error, in layer order — as
-/// [`search_layer`] for that layer.
-pub fn search_network(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Ooo, layers, arch, opts, None, None)
-}
-
-/// [`search_network`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_cached(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Ooo, layers, arch, opts, Some(cache), None)
-}
-
-/// The static-baseline counterpart of [`search_network`].
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_static(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Static, layers, arch, opts, None, None)
-}
-
-/// [`search_network_static`] with a shared [`MemoCache`].
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_static_cached(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Static, layers, arch, opts, Some(cache), None)
-}
-
-/// [`search_layer`] with an *anytime* deadline.
-///
-/// Up to `deadline` the search is the exact branch-and-bound search;
-/// once it expires, unstarted candidates are left unresolved and the
-/// best schedule found so far is returned with
-/// [`SearchOutcome::Anytime`] carrying a proven optimality gap —
-/// `score / min(lower bound of the unresolved candidates)`. The first
-/// candidate always runs even under an already-expired deadline, so
-/// the result is always a real, verifiable schedule. `None` behaves
-/// exactly like [`search_layer`].
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn search_layer_deadline(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Ooo, layer, arch, opts, None, deadline)
-}
-
-/// [`search_network`] with an *anytime* deadline — per-layer semantics
-/// as [`search_layer_deadline`]. The first candidate of *every* layer
-/// runs even when the deadline has already expired, so an anytime
-/// network search always returns one schedule per layer.
-///
-/// # Errors
-///
-/// As [`search_network`].
-pub fn search_network_deadline(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Ooo, layers, arch, opts, None, deadline)
-}
-
-/// [`search_layer_static`] with an *anytime* deadline — the baseline
-/// counterpart of [`search_layer_deadline`]. Identical semantics: up
-/// to `deadline` the search is exhaustive; once it expires, unstarted
-/// candidates are left unresolved and the best loop-order schedule
-/// found so far is returned with [`SearchOutcome::Anytime`] carrying
-/// a proven optimality gap. The first candidate always runs, so even
-/// an already-expired deadline yields a real schedule.
-///
-/// # Errors
-///
-/// As [`search_layer_static`].
-pub fn search_layer_static_deadline(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<LayerSearchResult, SchedError> {
-    search(SchedulerKind::Static, layer, arch, opts, None, deadline)
-}
-
-/// [`search_network_static`] with an *anytime* deadline — per-layer
-/// semantics as [`search_layer_static_deadline`]. The first candidate
-/// of *every* layer runs even when the deadline has already expired,
-/// so an anytime baseline search always returns one schedule per
-/// layer.
-///
-/// # Errors
-///
-/// As [`search_network_static`].
-pub fn search_network_static_deadline(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<Vec<LayerSearchResult>, SchedError> {
-    search_many(SchedulerKind::Static, layers, arch, opts, None, deadline)
+    Search::new(arch, opts).run_layer(layer)
 }
 
 /// The solver-only scheduling backend: rank every `(tiling, dataflow)`
@@ -1530,116 +1400,6 @@ pub fn solve_layer(
     }
 }
 
-/// [`search_layer`] with trace recording under
-/// [`SearchOptions::trace`]. Always returns the recorded [`Trace`],
-/// even when the search fails — failed searches are exactly when a
-/// trace is most useful.
-///
-/// With the default logical clock the trace is byte-identical across
-/// runs when `opts.threads == 1` (any options), or at any thread count
-/// with `opts.prune == false`; under parallel pruning the incumbent
-/// race decides when candidates are cut, which the trace records
-/// faithfully.
-pub fn search_layer_traced(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<LayerSearchResult, SchedError>, Trace) {
-    let (mut results, trace) = search_many_traced(
-        SchedulerKind::Ooo,
-        std::slice::from_ref(layer),
-        arch,
-        opts,
-        None,
-        None,
-        opts.trace.tracer(),
-    );
-    (results.pop().expect("one layer in, one result out"), trace)
-}
-
-/// [`search_network`] with trace recording under
-/// [`SearchOptions::trace`] — determinism contract as
-/// [`search_layer_traced`].
-pub fn search_network_traced(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
-    let (results, trace) = search_many_traced(
-        SchedulerKind::Ooo,
-        layers,
-        arch,
-        opts,
-        None,
-        None,
-        opts.trace.tracer(),
-    );
-    (results.into_iter().collect(), trace)
-}
-
-/// [`search_network_traced`] with a shared [`MemoCache`].
-pub fn search_network_traced_cached(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-    cache: &MemoCache,
-) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
-    let (results, trace) = search_many_traced(
-        SchedulerKind::Ooo,
-        layers,
-        arch,
-        opts,
-        Some(cache),
-        None,
-        opts.trace.tracer(),
-    );
-    (results.into_iter().collect(), trace)
-}
-
-/// The static-baseline counterpart of [`search_network_traced`].
-pub fn search_network_static_traced(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<Vec<LayerSearchResult>, SchedError>, Trace) {
-    let (results, trace) = search_many_traced(
-        SchedulerKind::Static,
-        layers,
-        arch,
-        opts,
-        None,
-        None,
-        opts.trace.tracer(),
-    );
-    (results.into_iter().collect(), trace)
-}
-
-/// [`search_network`] without the first-error collapse: one
-/// `Result` per layer, index-aligned with `layers`.
-///
-/// Where [`search_network`] returns only the first failing layer's
-/// error, this keeps every layer's individual outcome — in particular
-/// a duplicate of a failed leader surfaces as
-/// [`SchedError::DuplicateOf`] wrapping the leader's error, which the
-/// collapsed form can never show (the leader's own error always
-/// precedes it in layer order).
-pub fn search_network_layerwise(
-    layers: &[ConvLayer],
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Vec<Result<LayerSearchResult, SchedError>> {
-    search_many_traced(
-        SchedulerKind::Ooo,
-        layers,
-        arch,
-        opts,
-        None,
-        None,
-        Tracer::disabled(),
-    )
-    .0
-}
-
 /// Explores every `(tiling, dataflow)` pair with both schedulers and
 /// returns their `(latency, transfer)` scatter — the data behind the
 /// paper's Figure 1.
@@ -1658,8 +1418,12 @@ pub fn sweep_tilings(
 ) -> Result<(Vec<SchedulePoint>, Vec<SchedulePoint>), SchedError> {
     let mut opts = opts.clone();
     opts.collect_points = true;
-    let ooo = search(SchedulerKind::Ooo, layer, arch, &opts, None, None)?;
-    let st = search(SchedulerKind::Static, layer, arch, &opts, None, None)?;
+    let ooo = search_layer(layer, arch, &opts)?;
+    let st = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(arch, &opts)
+    }
+    .run_layer(layer)?;
     // Inner-join on the (tiling, dataflow) key: either scheduler may
     // have skipped pairs it could not schedule.
     let key = |p: &SchedulePoint| (p.factors, p.dataflow);
@@ -1687,6 +1451,27 @@ mod tests {
 
     fn arch() -> ArchConfig {
         ArchConfig::preset(ArchPreset::Arch1)
+    }
+
+    fn static_search<'a>(arch: &'a ArchConfig, opts: &'a SearchOptions) -> Search<'a> {
+        Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(arch, opts)
+        }
+    }
+
+    /// A one-layer search recorded under the default trace options.
+    fn traced(
+        layer: &ConvLayer,
+        arch: &ArchConfig,
+        opts: &SearchOptions,
+    ) -> (Result<LayerSearchResult, SchedError>, Trace) {
+        let mut run = Search {
+            trace: Some(TraceOptions::default()),
+            ..Search::new(arch, opts)
+        }
+        .run(std::slice::from_ref(layer));
+        (run.results.pop().unwrap(), run.trace)
     }
 
     #[test]
@@ -1731,7 +1516,10 @@ mod tests {
         for threads in [1, 4] {
             let mut opts = SearchOptions::quick();
             opts.threads = threads;
-            let batch = search_network(&layers, &arch(), &opts).unwrap();
+            let batch = Search::new(&arch(), &opts)
+                .run(&layers)
+                .into_result()
+                .unwrap();
             assert_eq!(batch.len(), layers.len());
             for (l, b) in layers.iter().zip(&batch) {
                 let solo = search_layer(l, &arch(), &opts).unwrap();
@@ -1748,7 +1536,10 @@ mod tests {
     fn network_search_replays_repeated_shapes() {
         let layers = [layer(), layer().with_name("twin")];
         let opts = SearchOptions::quick();
-        let batch = search_network(&layers, &arch(), &opts).unwrap();
+        let batch = Search::new(&arch(), &opts)
+            .run(&layers)
+            .into_result()
+            .unwrap();
         assert!(batch[0].evaluated > 1, "leader searches exhaustively");
         assert_eq!(batch[1].evaluated, 1, "duplicate replays the winner");
         assert_eq!(batch[0].schedule, batch[1].schedule);
@@ -1765,7 +1556,7 @@ mod tests {
         assert_eq!(r.stats.candidates_bounded as usize, r.evaluated);
         // The static scheduler has no set search, but the
         // branch-and-bound layer still bounds its candidates.
-        let s = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let s = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         assert_eq!(s.stats.steps, 0);
         assert_eq!(s.stats.sets_evaluated, 0);
         assert!(s.stats.candidates_bounded > 0);
@@ -1795,8 +1586,8 @@ mod tests {
                 assert_eq!(p.schedule, e.schedule);
                 assert!(p.stats.candidates_bounded > 0);
                 assert_eq!(e.stats.candidates_bounded, 0);
-                let ps = search_layer_static(&l, &ar, &pruned).unwrap();
-                let es = search_layer_static(&l, &ar, &exhaustive).unwrap();
+                let ps = static_search(&ar, &pruned).run_layer(&l).unwrap();
+                let es = static_search(&ar, &exhaustive).run_layer(&l).unwrap();
                 assert_eq!(ps.factors, es.factors);
                 assert_eq!(ps.score, es.score);
                 assert_eq!(ps.schedule, es.schedule);
@@ -1831,21 +1622,23 @@ mod tests {
     #[test]
     fn static_search_works() {
         let opts = SearchOptions::quick();
-        let r = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let r = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         assert!(r.schedule.latency() > 0);
         assert!(r.schedule.transfer_bytes() > 0);
     }
 
     #[test]
     fn memo_cache_replays_winner() {
-        let opts = SearchOptions::quick();
-        let cache = MemoCache::new();
-        let full = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let (opts, ar, cache) = (SearchOptions::quick(), arch(), MemoCache::new());
+        let cached = Search {
+            cache: Some(&cache),
+            ..Search::new(&ar, &opts)
+        };
+        let full = cached.run_layer(&layer()).unwrap();
         assert!(full.evaluated > 1);
         assert_eq!(cache.len(), 1);
         // Same shape, different name: memo hit.
-        let renamed = layer().with_name("other");
-        let hit = search_layer_cached(&renamed, &arch(), &opts, &cache).unwrap();
+        let hit = cached.run_layer(&layer().with_name("other")).unwrap();
         assert_eq!(hit.evaluated, 1);
         assert_eq!(hit.factors, full.factors);
         assert_eq!(hit.dataflow, full.dataflow);
@@ -1894,7 +1687,7 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.dataflows = vec![Dataflow::Ksc];
         opts.collect_points = true;
-        let r = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let r = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         assert!(r.points.iter().all(|p| p.dataflow == Dataflow::Ksc));
         assert_eq!(r.dataflow, Dataflow::Ksc);
     }
@@ -1914,20 +1707,35 @@ mod tests {
     fn collect_points_bypasses_memo_replay() {
         let mut opts = SearchOptions::quick();
         let cache = MemoCache::new();
-        let _ = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let _ = Search {
+            cache: Some(&cache),
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert_eq!(cache.len(), 1);
         opts.collect_points = true;
-        let full = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let full = Search {
+            cache: Some(&cache),
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert!(full.evaluated > 1, "memo must not shortcut a point sweep");
         assert!(!full.points.is_empty());
     }
 
     #[test]
     fn ooo_and_static_memo_entries_do_not_collide() {
-        let opts = SearchOptions::quick();
-        let cache = MemoCache::new();
-        let _ = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
-        let _ = search_layer_static_cached(&layer(), &arch(), &opts, &cache).unwrap();
+        let (opts, ar, cache) = (SearchOptions::quick(), arch(), MemoCache::new());
+        for kind in [SchedulerKind::Ooo, SchedulerKind::Static] {
+            let cached = Search {
+                kind,
+                cache: Some(&cache),
+                ..Search::new(&ar, &opts)
+            };
+            cached.run_layer(&layer()).unwrap();
+        }
         assert_eq!(cache.len(), 2);
     }
 
@@ -1939,7 +1747,7 @@ mod tests {
         let r = search_layer(&layer(), &arch(), &opts).unwrap();
         assert_eq!(r.stats.schedules_verified, 1);
         assert!(r.stats.verify_nanos > 0);
-        let s = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let s = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         assert_eq!(s.stats.schedules_verified, 1);
     }
 
@@ -1947,9 +1755,13 @@ mod tests {
     fn validated_memo_replays_are_reverified() {
         let mut opts = SearchOptions::quick();
         opts.validate = true;
-        let cache = MemoCache::new();
-        let _ = search_layer_cached(&layer(), &arch(), &opts, &cache).unwrap();
-        let hit = search_layer_cached(&layer().with_name("other"), &arch(), &opts, &cache).unwrap();
+        let (ar, cache) = (arch(), MemoCache::new());
+        let cached = Search {
+            cache: Some(&cache),
+            ..Search::new(&ar, &opts)
+        };
+        cached.run_layer(&layer()).unwrap();
+        let hit = cached.run_layer(&layer().with_name("other")).unwrap();
         assert_eq!(hit.evaluated, 1, "memo hit replays the winner");
         assert_eq!(hit.stats.schedules_verified, 1, "replays are verified too");
     }
@@ -1982,22 +1794,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trace_is_not_part_of_the_memo_key() {
-        let a = SearchOptions::quick();
-        let mut b = SearchOptions::quick();
-        b.trace = TraceOptions {
-            clock: ClockMode::Wall,
-            detail: TraceDetail::Memory,
-        };
-        let l = layer();
-        let ar = arch();
-        assert_eq!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            b.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
-    }
-
     /// Number of `Enter` events named `name` across all lanes.
     fn count_spans(trace: &Trace, name: &str) -> usize {
         trace
@@ -2012,7 +1808,7 @@ mod tests {
     fn traced_search_records_a_well_formed_trace() {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
-        let (r, trace) = search_layer_traced(&layer(), &arch(), &opts);
+        let (r, trace) = traced(&layer(), &arch(), &opts);
         let r = r.unwrap();
         trace.check().unwrap();
         assert_eq!(count_spans(&trace, "search"), 1);
@@ -2031,8 +1827,8 @@ mod tests {
     fn traced_serial_search_is_deterministic() {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
-        let (_, a) = search_layer_traced(&layer(), &arch(), &opts);
-        let (_, b) = search_layer_traced(&layer(), &arch(), &opts);
+        let (_, a) = traced(&layer(), &arch(), &opts);
+        let (_, b) = traced(&layer(), &arch(), &opts);
         assert_eq!(
             flexer_trace::text::render_tree(&a),
             flexer_trace::text::render_tree(&b)
@@ -2050,7 +1846,7 @@ mod tests {
             .unwrap();
         let mut opts = SearchOptions::quick();
         opts.tiling.max_ops = 32;
-        let (r, trace) = search_layer_traced(&huge, &arch(), &opts);
+        let (r, trace) = traced(&huge, &arch(), &opts);
         assert!(r.is_err());
         trace.check().unwrap();
         assert!(!trace.is_empty(), "failures still produce a trace");
@@ -2063,9 +1859,15 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         let plain = search_layer(&layer(), &arch(), &opts).unwrap();
-        opts.trace.detail = TraceDetail::Memory;
-        let (traced, trace) = search_layer_traced(&layer(), &arch(), &opts);
-        let traced = traced.unwrap();
+        let run = Search {
+            trace: Some(TraceOptions {
+                detail: TraceDetail::Memory,
+                ..TraceOptions::default()
+            }),
+            ..Search::new(&arch(), &opts)
+        }
+        .run(&[layer()]);
+        let (traced, trace) = (run.results[0].as_ref().unwrap(), run.trace);
         assert_eq!(
             plain.schedule, traced.schedule,
             "tracing never changes winners"
@@ -2086,7 +1888,7 @@ mod tests {
             .unwrap();
         let mut opts = SearchOptions::quick();
         opts.tiling.max_ops = 32;
-        let results = search_network_layerwise(&[good, bad], &arch(), &opts);
+        let results = Search::new(&arch(), &opts).run(&[good, bad]).results;
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(matches!(
@@ -2120,8 +1922,8 @@ mod tests {
                 assert_eq!(s.score, p.score);
                 assert_eq!(s.schedule, p.schedule);
                 assert!(s.is_exact() && p.is_exact());
-                let ss = search_layer_static(&l, &ar, &seeded).unwrap();
-                let ps = search_layer_static(&l, &ar, &plain).unwrap();
+                let ss = static_search(&ar, &seeded).run_layer(&l).unwrap();
+                let ps = static_search(&ar, &plain).run_layer(&l).unwrap();
                 assert_eq!(ss.factors, ps.factors);
                 assert_eq!(ss.score, ps.score);
                 assert_eq!(ss.schedule, ps.schedule);
@@ -2220,7 +2022,12 @@ mod tests {
         for threads in [1, 4] {
             let mut opts = SearchOptions::quick();
             opts.threads = threads;
-            let r = search_layer_deadline(&layer(), &arch(), &opts, Some(Instant::now())).unwrap();
+            let r = Search {
+                deadline: Some(Instant::now()),
+                ..Search::new(&arch(), &opts)
+            }
+            .run_layer(&layer())
+            .unwrap();
             assert!(!r.is_exact(), "an expired deadline cannot be exhaustive");
             let gap = r.gap().unwrap();
             assert!(gap >= 1.0, "gap is a ratio over a lower bound: {gap}");
@@ -2236,7 +2043,13 @@ mod tests {
     fn expired_deadline_still_schedules_every_layer() {
         let layers = [layer(), ConvLayer::new("u", 16, 28, 28, 32).unwrap()];
         let opts = SearchOptions::quick();
-        let batch = search_network_deadline(&layers, &arch(), &opts, Some(Instant::now())).unwrap();
+        let batch = Search {
+            deadline: Some(Instant::now()),
+            ..Search::new(&arch(), &opts)
+        }
+        .run(&layers)
+        .into_result()
+        .unwrap();
         assert_eq!(batch.len(), layers.len());
         for r in &batch {
             assert!(r.schedule.latency() > 0);
@@ -2248,7 +2061,12 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let r = search_layer_deadline(&layer(), &arch(), &opts, Some(far)).unwrap();
+        let r = Search {
+            deadline: Some(far),
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         let plain = search_layer(&layer(), &arch(), &opts).unwrap();
         assert!(r.is_exact());
         assert_eq!(r.gap(), None);
@@ -2261,8 +2079,13 @@ mod tests {
         for threads in [1, 4] {
             let mut opts = SearchOptions::quick();
             opts.threads = threads;
-            let r = search_layer_static_deadline(&layer(), &arch(), &opts, Some(Instant::now()))
-                .unwrap();
+            let r = Search {
+                kind: SchedulerKind::Static,
+                deadline: Some(Instant::now()),
+                ..Search::new(&arch(), &opts)
+            }
+            .run_layer(&layer())
+            .unwrap();
             assert!(!r.is_exact(), "an expired deadline cannot be exhaustive");
             let gap = r.gap().unwrap();
             assert!(gap >= 1.0, "gap is a ratio over a lower bound: {gap}");
@@ -2279,8 +2102,14 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let r = search_layer_static_deadline(&layer(), &arch(), &opts, Some(far)).unwrap();
-        let plain = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let r = Search {
+            kind: SchedulerKind::Static,
+            deadline: Some(far),
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
+        let plain = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         assert!(r.is_exact());
         assert_eq!(r.gap(), None);
         assert_eq!(r.schedule, plain.schedule);
@@ -2291,8 +2120,14 @@ mod tests {
     fn static_expired_deadline_still_schedules_every_layer() {
         let layers = [layer(), ConvLayer::new("u", 16, 28, 28, 32).unwrap()];
         let opts = SearchOptions::quick();
-        let batch =
-            search_network_static_deadline(&layers, &arch(), &opts, Some(Instant::now())).unwrap();
+        let batch = Search {
+            kind: SchedulerKind::Static,
+            deadline: Some(Instant::now()),
+            ..Search::new(&arch(), &opts)
+        }
+        .run(&layers)
+        .into_result()
+        .unwrap();
         assert_eq!(batch.len(), layers.len());
         for r in &batch {
             assert!(r.schedule.latency() > 0);
@@ -2331,12 +2166,12 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         opts.validate = true;
-        let plain = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let plain = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         opts.residency = Residency {
             input_resident: true,
             output_resident: true,
         };
-        let resident = search_layer_static(&layer(), &arch(), &opts).unwrap();
+        let resident = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
         let traffic = resident.schedule.traffic();
         assert_eq!(traffic.class_bytes(TrafficClass::Input), 0);
         assert_eq!(traffic.class_bytes(TrafficClass::Output), 0);
@@ -2385,7 +2220,12 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         opts.seed.enabled = true;
-        let r = search_layer_deadline(&layer(), &arch(), &opts, Some(Instant::now())).unwrap();
+        let r = Search {
+            deadline: Some(Instant::now()),
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert!(r.schedule.latency() > 0);
         assert!(r.stats.seed_nanos > 0);
     }
@@ -2435,16 +2275,13 @@ mod tests {
     fn anytime_results_are_not_memoized() {
         let opts = SearchOptions::quick();
         let cache = MemoCache::new();
-        let (results, _) = search_many_traced(
-            SchedulerKind::Ooo,
-            std::slice::from_ref(&layer()),
-            &arch(),
-            &opts,
-            Some(&cache),
-            Some(Instant::now()),
-            Tracer::disabled(),
-        );
-        let r = results.into_iter().next().unwrap().unwrap();
+        let r = Search {
+            cache: Some(&cache),
+            deadline: Some(Instant::now()),
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert!(!r.is_exact());
         assert_eq!(
             cache.len(),

@@ -16,10 +16,7 @@
 
 use flexer_arch::{ArchConfig, ArchPreset, SystolicModel};
 use flexer_model::{networks, scale_spatial, ConvLayer};
-use flexer_sched::{
-    lower_bound, search_layer, search_layer_static, search_network, search_network_static,
-    SearchOptions,
-};
+use flexer_sched::{lower_bound, SchedulerKind, Search, SearchOptions};
 use proptest::prelude::*;
 
 /// Quick options that keep every explored point.
@@ -30,15 +27,23 @@ fn collecting_opts() -> SearchOptions {
     opts
 }
 
+fn kind(ooo: bool) -> SchedulerKind {
+    if ooo {
+        SchedulerKind::Ooo
+    } else {
+        SchedulerKind::Static
+    }
+}
+
 fn assert_points_dominate_bounds(layer: &ConvLayer, arch: &ArchConfig, ooo: bool) {
     let perf = SystolicModel::new(arch);
     let opts = collecting_opts();
-    let result = if ooo {
-        search_layer(layer, arch, &opts)
-    } else {
-        search_layer_static(layer, arch, &opts)
-    }
-    .expect("search succeeds on generated layer");
+    let search = Search {
+        kind: kind(ooo),
+        ..Search::new(arch, &opts)
+    };
+    let result = search.run(std::slice::from_ref(layer)).results.remove(0);
+    let result = result.expect("search succeeds on generated layer");
     assert!(!result.points.is_empty());
     for p in &result.points {
         let b = lower_bound(layer, arch, &perf, &p.factors);
@@ -95,17 +100,14 @@ fn pruned_winners_match_exhaustive_on_the_evaluation_networks() {
         for preset in [ArchPreset::Arch1, ArchPreset::Arch5] {
             let arch = ArchConfig::preset(preset);
             for ooo in [true, false] {
-                let (pruned, full) = if ooo {
-                    (
-                        search_network(net.layers(), &arch, &pruned_opts).unwrap(),
-                        search_network(net.layers(), &arch, &full_opts).unwrap(),
-                    )
-                } else {
-                    (
-                        search_network_static(net.layers(), &arch, &pruned_opts).unwrap(),
-                        search_network_static(net.layers(), &arch, &full_opts).unwrap(),
-                    )
+                let run = |opts| {
+                    let search = Search {
+                        kind: kind(ooo),
+                        ..Search::new(&arch, opts)
+                    };
+                    search.run(net.layers()).into_result().unwrap()
                 };
+                let (pruned, full) = (run(&pruned_opts), run(&full_opts));
                 assert_eq!(pruned.len(), full.len());
                 let mut pruned_any = false;
                 for (p, f) in pruned.iter().zip(&full) {

@@ -7,8 +7,7 @@
 use flexer_arch::{ArchConfig, ArchConfigBuilder, ArchPreset, SystolicModel};
 use flexer_model::{ConvLayer, ConvLayerBuilder};
 use flexer_sched::{
-    search_layer, search_network, search_network_layerwise, Cutoff, Incumbent, Metric,
-    OooScheduler, SchedError, SearchOptions,
+    search_layer, Cutoff, Incumbent, Metric, OooScheduler, SchedError, Search, SearchOptions,
 };
 use flexer_sim::TimelineError;
 use flexer_tiling::{Dataflow, Dfg, TilingFactors};
@@ -73,7 +72,9 @@ fn unarmed_cutoff_never_fires() {
 fn duplicate_of_a_failed_leader_wraps_the_leaders_error() {
     let leader = unschedulable();
     let twin = leader.with_name("huge-twin");
-    let results = search_network_layerwise(&[leader, twin], &arch1(), &tight_opts());
+    let results = Search::new(&arch1(), &tight_opts())
+        .run(&[leader, twin])
+        .results;
     assert_eq!(results.len(), 2);
     assert!(
         matches!(
@@ -101,11 +102,14 @@ fn duplicate_of_a_failed_leader_wraps_the_leaders_error() {
 #[test]
 fn collapsed_network_error_is_the_leaders_not_the_duplicates() {
     // The first-error-in-layer-order collapse always surfaces the
-    // leader's own failure, never the DuplicateOf wrapper — the
-    // layerwise API above is the only way to observe the wrapper.
+    // leader's own failure, never the DuplicateOf wrapper — only the
+    // per-layer results above show the wrapper.
     let leader = unschedulable();
     let twin = leader.with_name("huge-twin");
-    let err = search_network(&[leader, twin], &arch1(), &tight_opts()).unwrap_err();
+    let err = Search::new(&arch1(), &tight_opts())
+        .run(&[leader, twin])
+        .into_result()
+        .unwrap_err();
     assert!(
         matches!(&err, SchedError::NoViableTiling { layer } if layer == "huge"),
         "{err}"

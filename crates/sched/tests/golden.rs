@@ -8,8 +8,21 @@
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
 use flexer_sched::{
-    search_layer, search_layer_static, search_network, EvalMode, LayerSearchResult, SearchOptions,
+    search_layer, EvalMode, LayerSearchResult, SchedError, SchedulerKind, Search, SearchOptions,
 };
+
+/// The static-baseline search of one layer.
+fn search_static(
+    layer: &ConvLayer,
+    arch: &ArchConfig,
+    opts: &SearchOptions,
+) -> Result<LayerSearchResult, SchedError> {
+    let search = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(arch, opts)
+    };
+    search.run(std::slice::from_ref(layer)).results.remove(0)
+}
 
 fn layers() -> Vec<ConvLayer> {
     vec![
@@ -37,7 +50,13 @@ fn assert_same_winner(a: &LayerSearchResult, b: &LayerSearchResult) {
 #[test]
 fn ooo_search_is_identical_across_eval_modes() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let [tx, clone] = modes();
+    // Serial: under parallel pruning the incumbent race decides how far
+    // a cut candidate runs, so effort counters such as `sets_evaluated`
+    // are only comparable between two runs on one thread.
+    let [tx, clone] = modes().map(|mut opts| {
+        opts.threads = 1;
+        opts
+    });
     for layer in layers() {
         let a = search_layer(&layer, &arch, &tx).unwrap();
         let b = search_layer(&layer, &arch, &clone).unwrap();
@@ -56,8 +75,8 @@ fn static_search_is_identical_across_eval_modes() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let [tx, clone] = modes();
     for layer in layers() {
-        let a = search_layer_static(&layer, &arch, &tx).unwrap();
-        let b = search_layer_static(&layer, &arch, &clone).unwrap();
+        let a = search_static(&layer, &arch, &tx).unwrap();
+        let b = search_static(&layer, &arch, &clone).unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.factors, b.factors);
         assert_eq!(a.dataflow, b.dataflow);
@@ -73,8 +92,8 @@ fn network_queue_is_identical_across_eval_modes_and_archs() {
     for preset in [ArchPreset::Arch1, ArchPreset::Arch5] {
         let arch = ArchConfig::preset(preset);
         let net = layers();
-        let a = search_network(&net, &arch, &tx).unwrap();
-        let b = search_network(&net, &arch, &clone).unwrap();
+        let a = Search::new(&arch, &tx).run(&net).into_result().unwrap();
+        let b = Search::new(&arch, &clone).run(&net).into_result().unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_same_winner(x, y);

@@ -6,7 +6,7 @@
 
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
-use flexer_sched::{search_layer, search_network, SearchOptions, SearchStats, StatKind};
+use flexer_sched::{search_layer, Search, SearchOptions, SearchStats, StatKind};
 
 fn layers() -> [ConvLayer; 3] {
     // Three distinct shapes: no in-batch dedup, so the batch search
@@ -27,7 +27,10 @@ fn opts() -> SearchOptions {
 #[test]
 fn batch_stats_equal_merged_solo_stats() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let batch = search_network(&layers(), &arch, &opts()).unwrap();
+    let batch = Search::new(&arch, &opts())
+        .run(&layers())
+        .into_result()
+        .unwrap();
     let mut batch_total = SearchStats::default();
     for r in &batch {
         batch_total.merge(&r.stats);
@@ -49,7 +52,10 @@ fn validated_batch_stats_equal_merged_solo_stats() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let mut opts = opts();
     opts.validate = true;
-    let batch = search_network(&layers(), &arch, &opts).unwrap();
+    let batch = Search::new(&arch, &opts)
+        .run(&layers())
+        .into_result()
+        .unwrap();
     let mut batch_total = SearchStats::default();
     for r in &batch {
         batch_total.merge(&r.stats);

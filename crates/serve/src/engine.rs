@@ -10,7 +10,7 @@
 use crate::protocol::{hex_encode, ok_response, ErrorKind, Mode, Obj, Op, OptionsName, Request};
 use flexer::prelude::*;
 use flexer_arch::ArchPreset;
-use flexer_sched::SchedError;
+use flexer_sched::{LayerSearchResult, SchedError};
 use flexer_store::{Ingest, ScheduleStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -461,19 +461,26 @@ impl Engine {
         driver: &Flexer,
         net: &Network,
         deadline: &Deadline,
-        baseline: bool,
+        kind: SchedulerKind,
     ) -> Result<NetworkResult, Failure> {
         let mut rows = Vec::with_capacity(net.layers().len());
         for layer in net.layers() {
             deadline.check()?;
-            let result = if baseline {
-                driver.baseline_layer(layer)
-            } else {
-                driver.schedule_layer(layer)
-            };
+            let result = Self::search_layer(driver, layer, kind, None);
             rows.push(result.map_err(|e| Self::sched_failure(&e))?);
         }
         Ok(NetworkResult::new(net.name(), rows))
+    }
+
+    /// One untraced layer search through the driver.
+    fn search_layer(
+        driver: &Flexer,
+        layer: &ConvLayer,
+        kind: SchedulerKind,
+        deadline: Option<Instant>,
+    ) -> Result<LayerSearchResult, SchedError> {
+        let mut run = driver.search(std::slice::from_ref(layer), kind, deadline, None);
+        run.results.pop().expect("one layer in, one result out")
     }
 
     fn push_totals(o: &mut Obj, req: &Request, result: &NetworkResult) {
@@ -532,14 +539,19 @@ impl Engine {
             // Traced requests run the whole-network traced search: it
             // bypasses the persistent store on purpose (the point is
             // to watch the real search) and is not layer-interruptible.
-            let traced = driver.trace_network(net);
-            let tree = traced.span_tree();
-            let result = traced.result.map_err(|e| Self::sched_failure(&e))?;
+            let traced = driver.search(
+                net.layers(),
+                SchedulerKind::Ooo,
+                None,
+                Some(TraceOptions::default()),
+            );
+            let tree = flexer::trace::text::render_tree(&traced.trace);
+            let layers = traced.into_result().map_err(|e| Self::sched_failure(&e))?;
             deadline.check()?;
             o.str("span_tree", &tree);
-            result
+            NetworkResult::new(net.name(), layers)
         } else {
-            Self::layers_with_deadline(&driver, net, deadline, false)?
+            Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Ooo)?
         };
         Self::push_totals(&mut o, req, &result);
         o.raw("layers", &Self::layer_rows(&result));
@@ -609,8 +621,7 @@ impl Engine {
     ) -> Result<String, Failure> {
         let mut rows = Vec::with_capacity(net.layers().len());
         for layer in net.layers() {
-            let result = driver
-                .schedule_layer_anytime(layer, deadline.at())
+            let result = Self::search_layer(driver, layer, SchedulerKind::Ooo, deadline.at())
                 .map_err(|e| Self::sched_failure(&e))?;
             rows.push(result);
         }
@@ -640,8 +651,8 @@ impl Engine {
     ) -> Result<String, Failure> {
         let driver = self.driver((req.arch, req.options, verify))?;
         deadline.check()?;
-        let flexer = Self::layers_with_deadline(&driver, net, deadline, false)?;
-        let baseline = Self::layers_with_deadline(&driver, net, deadline, true)?;
+        let flexer = Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Ooo)?;
+        let baseline = Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Static)?;
         let cmp = NetworkComparison::new(flexer, baseline);
         let op = if verify { Op::Verify } else { Op::Compare };
         let mut o = ok_response(op, req.id.as_deref());

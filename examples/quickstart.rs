@@ -35,7 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ooo.dataflow,
     );
 
-    let baseline = driver.baseline_layer(&layer)?;
+    let layers = std::slice::from_ref(&layer);
+    let run = driver.search(layers, SchedulerKind::Static, None, None);
+    let baseline = run.into_result()?.remove(0);
     println!(
         "best static order    : {:>12} cycles  {:>12} B  [{} / {}]",
         baseline.schedule.latency(),

@@ -3,7 +3,7 @@
 
 use flexer::arch::SystolicModel;
 use flexer::prelude::*;
-use flexer::sched::{search_layer, search_layer_static, OooScheduler, StaticScheduler};
+use flexer::sched::{search_layer, OooScheduler, Search, StaticScheduler};
 use flexer::sim::TrafficStats;
 
 fn arch5() -> ArchConfig {
@@ -128,7 +128,13 @@ fn flexer_beats_baseline_on_bandwidth_bound_layer() {
     let layer = resnet.layer_by_name("conv3_1_1").unwrap();
     let opts = SearchOptions::default();
     let ooo = search_layer(layer, &arch5(), &opts).unwrap();
-    let st = search_layer_static(layer, &arch5(), &opts).unwrap();
+    let arch = arch5();
+    let baseline = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(&arch, &opts)
+    };
+    let st = baseline.run(std::slice::from_ref(layer)).results.remove(0);
+    let st = st.unwrap();
     assert!(
         ooo.score < st.score,
         "metric: ooo {} vs static {}",

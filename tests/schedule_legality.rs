@@ -102,7 +102,12 @@ fn search_winners_are_legal() {
     let ooo = flexer::sched::search_layer(&layer, &arch, &opts).unwrap();
     let dfg = Dfg::build(&layer, ooo.factors, ooo.dataflow, &model, &arch).unwrap();
     validate_schedule(&dfg, &ooo.schedule).unwrap();
-    let st = flexer::sched::search_layer_static(&layer, &arch, &opts).unwrap();
+    let baseline = flexer::sched::Search {
+        kind: SchedulerKind::Static,
+        ..flexer::sched::Search::new(&arch, &opts)
+    };
+    let st = baseline.run(std::slice::from_ref(&layer)).results.remove(0);
+    let st = st.unwrap();
     let dfg = Dfg::build(&layer, st.factors, st.dataflow, &model, &arch).unwrap();
     validate_schedule(&dfg, &st.schedule).unwrap();
 }

@@ -8,7 +8,7 @@
 //! wrong "optimum".
 
 use flexer::prelude::*;
-use flexer::sched::{search_network, search_network_static, SchedError, SeedOptions};
+use flexer::sched::{SchedError, Search, SeedOptions};
 use proptest::prelude::*;
 
 /// Random small conv layers — modest extents so a whole network
@@ -55,8 +55,8 @@ proptest! {
         let opts = SearchOptions::quick();
         let opts_seeded = seeded(&opts, top_k);
 
-        let plain = search_network(&layers, &arch, &opts).unwrap();
-        let with_seed = search_network(&layers, &arch, &opts_seeded).unwrap();
+        let plain = Search::new(&arch, &opts).run(&layers).into_result().unwrap();
+        let with_seed = Search::new(&arch, &opts_seeded).run(&layers).into_result().unwrap();
         for (p, s) in plain.iter().zip(&with_seed) {
             prop_assert_eq!(&p.schedule, &s.schedule, "OoO winner drifted under seeding");
             prop_assert_eq!(p.factors, s.factors);
@@ -65,8 +65,9 @@ proptest! {
             prop_assert!(s.is_exact());
         }
 
-        let plain = search_network_static(&layers, &arch, &opts).unwrap();
-        let with_seed = search_network_static(&layers, &arch, &opts_seeded).unwrap();
+        let baseline = |opts| Search { kind: SchedulerKind::Static, ..Search::new(&arch, opts) };
+        let plain = baseline(&opts).run(&layers).into_result().unwrap();
+        let with_seed = baseline(&opts_seeded).run(&layers).into_result().unwrap();
         for (p, s) in plain.iter().zip(&with_seed) {
             prop_assert_eq!(&p.schedule, &s.schedule, "static winner drifted under seeding");
             prop_assert_eq!(p.factors, s.factors);
@@ -91,7 +92,8 @@ proptest! {
             // No real schedule scores zero: always below every bound.
             inject: Some(0.0),
         };
-        let err = search_network(std::slice::from_ref(&layer), &arch, &opts).unwrap_err();
+        let run = Search::new(&arch, &opts).run(std::slice::from_ref(&layer));
+        let err = run.into_result().unwrap_err();
         prop_assert!(
             matches!(err, SchedError::InadmissibleSeed { .. }),
             "expected InadmissibleSeed, got {err:?}"

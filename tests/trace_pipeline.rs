@@ -4,7 +4,7 @@
 //! one-layer search.
 
 use flexer::prelude::*;
-use flexer::sched::{search_layer_traced, search_network_traced};
+use flexer::sched::{LayerSearchResult, SchedError, Search};
 use flexer::trace::{chrome, text};
 
 /// The fixed search every test in this file agrees on: one small layer,
@@ -56,6 +56,20 @@ lane 2 \"g/1\"
   #5 candidate [0 +1] layer=g tiling=k1\u{b7}c1\u{b7}1x1 dataflow=Csk outcome=scheduled latency=990 transfer_bytes=1600 score=1584000.0
 ";
 
+/// One traced layer search under the default trace options.
+fn search_layer_traced(
+    layer: &ConvLayer,
+    arch: &ArchConfig,
+    opts: &SearchOptions,
+) -> (Result<LayerSearchResult, SchedError>, Trace) {
+    let search = Search {
+        trace: Some(TraceOptions::default()),
+        ..Search::new(arch, opts)
+    };
+    let mut run = search.run(std::slice::from_ref(layer));
+    (run.results.remove(0), run.trace)
+}
+
 #[test]
 fn golden_span_tree_is_pinned_byte_for_byte() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
@@ -102,8 +116,19 @@ fn thread_count_does_not_change_the_trace_when_pruning_is_off() {
     let mut wide = serial.clone();
     wide.threads = 4;
 
-    let (rs, ts) = search_network_traced(&layers, &arch, &serial);
-    let (rw, tw) = search_network_traced(&layers, &arch, &wide);
+    let traced = |opts| {
+        let search = Search {
+            trace: Some(TraceOptions::default()),
+            ..Search::new(&arch, opts)
+        };
+        let run = search.run(&layers);
+        (
+            run.results.into_iter().collect::<Result<Vec<_>, _>>(),
+            run.trace,
+        )
+    };
+    let (rs, ts) = traced(&serial);
+    let (rw, tw) = traced(&wide);
     let (rs, rw) = (rs.unwrap(), rw.unwrap());
     let lat = |v: &[flexer::sched::LayerSearchResult]| -> u64 {
         v.iter().map(|r| r.schedule.latency()).sum()
@@ -138,10 +163,11 @@ fn traced_network_report_surfaces_the_trace_summary() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let net = Network::new("one", vec![golden_layer()]).unwrap();
     let driver = Flexer::new(arch).with_options(golden_opts());
-    let traced = driver.trace_network(&net);
-    traced.result.as_ref().unwrap();
-    traced.trace.check().unwrap();
-    assert!(traced.report().contains("trace:"));
-    assert!(traced.chrome_json().contains("\"ph\":\"X\""));
-    assert!(traced.span_tree().contains("#0 search"));
+    let trace = Some(TraceOptions::default());
+    let SearchRun { results, trace } = driver.search(net.layers(), SchedulerKind::Ooo, None, trace);
+    assert!(results[0].as_ref().unwrap().is_exact());
+    trace.check().unwrap();
+    assert!(trace.summary().to_string().contains("spans"));
+    assert!(chrome::to_chrome_json(&trace).contains("\"ph\":\"X\""));
+    assert!(text::render_tree(&trace).contains("#0 search"));
 }
