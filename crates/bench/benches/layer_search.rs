@@ -24,17 +24,9 @@ fn bench_search(c: &mut Criterion) {
         cache: Some(&cache),
         ..Search::new(&arch, &opts)
     };
-    cached
-        .run(std::slice::from_ref(&layer))
-        .into_result()
-        .unwrap();
+    cached.run_layer(&layer).unwrap();
     c.bench_function("search_layer_memo_replay", |b| {
-        b.iter(|| {
-            cached
-                .run(std::slice::from_ref(black_box(&layer)))
-                .into_result()
-                .unwrap()
-        })
+        b.iter(|| cached.run_layer(black_box(&layer)).unwrap())
     });
 }
 

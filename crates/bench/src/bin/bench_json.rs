@@ -78,7 +78,6 @@
 //! rps}` plus one identity row. Writes `BENCH_PR10.json`.
 
 use flexer::prelude::*;
-use flexer::sched::Search;
 use flexer::trace::Lane;
 use std::time::Instant;
 
@@ -648,8 +647,7 @@ fn time_traced_search(
         }),
         ..Search::new(arch, opts)
     };
-    let layers = std::slice::from_ref(layer);
-    let warm = search.run(layers);
+    let warm = search.run(std::slice::from_ref(layer));
     let evaluated = warm.results[0]
         .as_ref()
         .expect("benchmark layer schedules")
@@ -657,11 +655,8 @@ fn time_traced_search(
     let mut samples: Vec<u128> = (0..iters)
         .map(|_| {
             let t = Instant::now();
-            let r = search.run(layers).into_result();
-            assert_eq!(
-                r.expect("benchmark layer schedules")[0].evaluated,
-                evaluated
-            );
+            let r = search.run_layer(layer).expect("benchmark layer schedules");
+            assert_eq!(r.evaluated, evaluated);
             t.elapsed().as_nanos()
         })
         .collect();

@@ -2,18 +2,7 @@
 
 use crate::{geomean, ExperimentContext};
 use flexer::prelude::*;
-use flexer::sched::{sweep_tilings, LayerSearchResult, Search};
-
-/// The best static loop-order schedule of `layer` through `driver`.
-fn baseline_layer(driver: &Flexer, layer: &ConvLayer) -> LayerSearchResult {
-    let run = driver.search(
-        std::slice::from_ref(layer),
-        SchedulerKind::Static,
-        None,
-        None,
-    );
-    run.into_result().expect("baseline schedules").remove(0)
-}
+use flexer::sched::sweep_tilings;
 
 /// **Table 1** — the eight hardware configurations.
 pub fn table1() {
@@ -184,9 +173,13 @@ pub fn fig09(ctx: &ExperimentContext) {
         "{:<10} {:>18} {:>9} {:>10}",
         "layer", "metric", "speedup", "xfer_red"
     );
+    let baseline = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(driver.arch(), driver.options())
+    };
     for name in ["conv3_1", "conv3_2"] {
         let layer = net.layer_by_name(name).unwrap();
-        let base = baseline_layer(&driver, layer);
+        let base = baseline.run_layer(layer).expect("baseline schedules");
         for (metric_name, d) in [("default", &driver), ("transfer-weighted", &weighted)] {
             let ooo = d.schedule_layer(layer).expect("layer schedules");
             println!(
@@ -243,6 +236,10 @@ pub fn fig10(ctx: &ExperimentContext) {
         ),
     ];
     let driver = ctx.driver(ArchPreset::Arch6);
+    let baseline = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(driver.arch(), driver.options())
+    };
     for (name, layer) in cases {
         println!("\n## {name}");
         println!(
@@ -250,7 +247,7 @@ pub fn fig10(ctx: &ExperimentContext) {
             "schedule", "IN B", "WT B", "PS B", "OT B", "total B", "max loads IN/WT/OT"
         );
         let ooo = driver.schedule_layer(layer).expect("layer schedules");
-        let st = baseline_layer(&driver, layer);
+        let st = baseline.run_layer(layer).expect("baseline schedules");
         let dfg = Dfg::build(layer, ooo.factors, ooo.dataflow, &model, &arch)
             .expect("winning tiling builds");
         let reference = onchip_reference_traffic(&dfg);
@@ -331,8 +328,7 @@ pub fn fig11(ctx: &ExperimentContext) {
                 kind: SchedulerKind::Static,
                 ..Search::new(&arch, &opts)
             };
-            let st = search.run(std::slice::from_ref(layer)).into_result();
-            let st = st.expect("static search succeeds").remove(0);
+            let st = search.run_layer(layer).expect("static search succeeds");
             report(tag, &st.schedule);
         }
         let driver = ctx.driver(ArchPreset::Arch6);

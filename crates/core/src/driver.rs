@@ -551,17 +551,6 @@ mod tests {
         Flexer::new(ArchConfig::preset(ArchPreset::Arch1)).with_options(SearchOptions::quick())
     }
 
-    /// One untraced layer search through the driver.
-    fn search_one(
-        d: &Flexer,
-        layer: &ConvLayer,
-        kind: SchedulerKind,
-        deadline: Option<Instant>,
-    ) -> Result<LayerSearchResult, SchedError> {
-        let mut run = d.search(std::slice::from_ref(layer), kind, deadline, None);
-        run.results.pop().unwrap()
-    }
-
     fn tiny_net() -> Network {
         Network::new(
             "tiny",
@@ -713,18 +702,20 @@ mod tests {
     #[test]
     fn anytime_layer_beats_an_expired_deadline() {
         let d = driver();
-        let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
+        let layers = [ConvLayer::new("c", 32, 14, 14, 32).unwrap()];
         let past = Instant::now() - std::time::Duration::from_secs(1);
-        let r = search_one(&d, &layer, SchedulerKind::Ooo, Some(past)).unwrap();
+        let run = d.search(&layers, SchedulerKind::Ooo, Some(past), None);
+        let r = run.into_result().unwrap().remove(0);
         assert!(!r.is_exact());
         let gap = r.gap().unwrap();
         assert!(gap >= 1.0 && gap.is_finite(), "gap {gap}");
         assert!(r.schedule.latency() > 0);
         // A generous deadline degenerates to the exact search.
-        let exact = d.schedule_layer(&layer).unwrap();
+        let exact = d.schedule_layer(&layers[0]).unwrap();
         assert!(exact.is_exact());
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let generous = search_one(&d, &layer, SchedulerKind::Ooo, Some(far)).unwrap();
+        let run = d.search(&layers, SchedulerKind::Ooo, Some(far), None);
+        let generous = run.into_result().unwrap().remove(0);
         assert!(generous.is_exact());
         assert_eq!(generous.schedule, exact.schedule);
     }
@@ -732,19 +723,23 @@ mod tests {
     #[test]
     fn anytime_static_baseline_beats_an_expired_deadline() {
         let d = driver();
-        let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
-        let past = Instant::now() - std::time::Duration::from_secs(1);
-        let r = search_one(&d, &layer, SchedulerKind::Static, Some(past)).unwrap();
-        assert!(!r.is_exact());
-        let gap = r.gap().unwrap();
+        let layers = [ConvLayer::new("c", 32, 14, 14, 32).unwrap()];
+        let [past, far, exact] = [
+            Some(Instant::now() - std::time::Duration::from_secs(1)),
+            Some(Instant::now() + std::time::Duration::from_secs(3600)),
+            None,
+        ]
+        .map(|deadline| {
+            let run = d.search(&layers, SchedulerKind::Static, deadline, None);
+            run.into_result().unwrap().remove(0)
+        });
+        assert!(!past.is_exact());
+        let gap = past.gap().unwrap();
         assert!(gap >= 1.0 && gap.is_finite(), "gap {gap}");
-        assert!(r.schedule.latency() > 0);
+        assert!(past.schedule.latency() > 0);
         // A generous deadline degenerates to the exact static search.
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let generous = search_one(&d, &layer, SchedulerKind::Static, Some(far)).unwrap();
-        assert!(generous.is_exact());
-        let exact = search_one(&d, &layer, SchedulerKind::Static, None).unwrap();
-        assert_eq!(generous.schedule, exact.schedule);
+        assert!(far.is_exact());
+        assert_eq!(far.schedule, exact.schedule);
     }
 
     #[test]
@@ -932,17 +927,17 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let d = driver().with_store(&dir).unwrap();
-        let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
+        let layers = [ConvLayer::new("c", 32, 14, 14, 32).unwrap()];
         let past = Instant::now() - std::time::Duration::from_secs(1);
-        let partial = search_one(&d, &layer, SchedulerKind::Ooo, Some(past)).unwrap();
-        assert!(!partial.is_exact());
+        let run = d.search(&layers, SchedulerKind::Ooo, Some(past), None);
+        assert!(!run.into_result().unwrap()[0].is_exact());
         assert_eq!(
             d.store().unwrap().len().unwrap(),
             0,
             "anytime result persisted"
         );
         // The exact search persists as usual.
-        let exact = d.schedule_layer(&layer).unwrap();
+        let exact = d.schedule_layer(&layers[0]).unwrap();
         assert!(exact.is_exact());
         assert_eq!(d.store().unwrap().len().unwrap(), 1);
         let _ = std::fs::remove_dir_all(&dir);

@@ -89,8 +89,8 @@ pub mod prelude {
     };
     pub use flexer_model::{networks, scale_spatial, ConvLayer, ConvLayerBuilder, Network};
     pub use flexer_sched::{
-        EvalMode, Metric, PriorityPolicy, SchedulerKind, SearchOptions, SearchOutcome, SearchRun,
-        SearchStats, SeedOptions, SpillPolicyChoice, TraceOptions,
+        EvalMode, Metric, PriorityPolicy, SchedulerKind, Search, SearchOptions, SearchOutcome,
+        SearchRun, SearchStats, SeedOptions, SpillPolicyChoice, TraceOptions,
     };
     pub use flexer_sim::{
         onchip_reference_traffic, schedule_energy, schedule_trace, validate_schedule, TrafficClass,

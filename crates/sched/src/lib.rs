@@ -36,11 +36,10 @@
 //!     kind: SchedulerKind::Static,
 //!     ..Search::new(&arch, &opts)
 //! }
-//! .run(&[layer])
-//! .into_result()?;
+//! .run_layer(&layer)?;
 //! // Both searches return legal schedules with positive latency.
 //! assert!(ooo.schedule.latency() > 0);
-//! assert!(base[0].schedule.latency() > 0);
+//! assert!(base.schedule.latency() > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -1270,8 +1270,12 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// [`Search::run`] on one layer.
-    fn run_layer(&self, layer: &ConvLayer) -> Result<LayerSearchResult, SchedError> {
+    /// [`Search::run`] on one layer: its one result, without the trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`search_layer`].
+    pub fn run_layer(&self, layer: &ConvLayer) -> Result<LayerSearchResult, SchedError> {
         let mut run = self.run(std::slice::from_ref(layer));
         run.results.pop().expect("one layer in, one result out")
     }
@@ -1453,27 +1457,6 @@ mod tests {
         ArchConfig::preset(ArchPreset::Arch1)
     }
 
-    fn static_search<'a>(arch: &'a ArchConfig, opts: &'a SearchOptions) -> Search<'a> {
-        Search {
-            kind: SchedulerKind::Static,
-            ..Search::new(arch, opts)
-        }
-    }
-
-    /// A one-layer search recorded under the default trace options.
-    fn traced(
-        layer: &ConvLayer,
-        arch: &ArchConfig,
-        opts: &SearchOptions,
-    ) -> (Result<LayerSearchResult, SchedError>, Trace) {
-        let mut run = Search {
-            trace: Some(TraceOptions::default()),
-            ..Search::new(arch, opts)
-        }
-        .run(std::slice::from_ref(layer));
-        (run.results.pop().unwrap(), run.trace)
-    }
-
     #[test]
     fn ooo_search_returns_best_of_points() {
         let mut opts = SearchOptions::quick();
@@ -1556,7 +1539,12 @@ mod tests {
         assert_eq!(r.stats.candidates_bounded as usize, r.evaluated);
         // The static scheduler has no set search, but the
         // branch-and-bound layer still bounds its candidates.
-        let s = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let s = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert_eq!(s.stats.steps, 0);
         assert_eq!(s.stats.sets_evaluated, 0);
         assert!(s.stats.candidates_bounded > 0);
@@ -1586,8 +1574,18 @@ mod tests {
                 assert_eq!(p.schedule, e.schedule);
                 assert!(p.stats.candidates_bounded > 0);
                 assert_eq!(e.stats.candidates_bounded, 0);
-                let ps = static_search(&ar, &pruned).run_layer(&l).unwrap();
-                let es = static_search(&ar, &exhaustive).run_layer(&l).unwrap();
+                let ps = Search {
+                    kind: SchedulerKind::Static,
+                    ..Search::new(&ar, &pruned)
+                }
+                .run_layer(&l)
+                .unwrap();
+                let es = Search {
+                    kind: SchedulerKind::Static,
+                    ..Search::new(&ar, &exhaustive)
+                }
+                .run_layer(&l)
+                .unwrap();
                 assert_eq!(ps.factors, es.factors);
                 assert_eq!(ps.score, es.score);
                 assert_eq!(ps.schedule, es.schedule);
@@ -1622,7 +1620,12 @@ mod tests {
     #[test]
     fn static_search_works() {
         let opts = SearchOptions::quick();
-        let r = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let r = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert!(r.schedule.latency() > 0);
         assert!(r.schedule.transfer_bytes() > 0);
     }
@@ -1687,7 +1690,12 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.dataflows = vec![Dataflow::Ksc];
         opts.collect_points = true;
-        let r = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let r = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert!(r.points.iter().all(|p| p.dataflow == Dataflow::Ksc));
         assert_eq!(r.dataflow, Dataflow::Ksc);
     }
@@ -1747,7 +1755,12 @@ mod tests {
         let r = search_layer(&layer(), &arch(), &opts).unwrap();
         assert_eq!(r.stats.schedules_verified, 1);
         assert!(r.stats.verify_nanos > 0);
-        let s = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let s = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert_eq!(s.stats.schedules_verified, 1);
     }
 
@@ -1808,8 +1821,12 @@ mod tests {
     fn traced_search_records_a_well_formed_trace() {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
-        let (r, trace) = traced(&layer(), &arch(), &opts);
-        let r = r.unwrap();
+        let SearchRun { results, trace } = Search {
+            trace: Some(TraceOptions::default()),
+            ..Search::new(&arch(), &opts)
+        }
+        .run(&[layer()]);
+        let r = results[0].as_ref().unwrap();
         trace.check().unwrap();
         assert_eq!(count_spans(&trace, "search"), 1);
         assert_eq!(count_spans(&trace, "layer"), 1);
@@ -1827,8 +1844,13 @@ mod tests {
     fn traced_serial_search_is_deterministic() {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
-        let (_, a) = traced(&layer(), &arch(), &opts);
-        let (_, b) = traced(&layer(), &arch(), &opts);
+        let ar = arch();
+        let traced = Search {
+            trace: Some(TraceOptions::default()),
+            ..Search::new(&ar, &opts)
+        };
+        let a = traced.run(&[layer()]).trace;
+        let b = traced.run(&[layer()]).trace;
         assert_eq!(
             flexer_trace::text::render_tree(&a),
             flexer_trace::text::render_tree(&b)
@@ -1846,8 +1868,12 @@ mod tests {
             .unwrap();
         let mut opts = SearchOptions::quick();
         opts.tiling.max_ops = 32;
-        let (r, trace) = traced(&huge, &arch(), &opts);
-        assert!(r.is_err());
+        let SearchRun { results, trace } = Search {
+            trace: Some(TraceOptions::default()),
+            ..Search::new(&arch(), &opts)
+        }
+        .run(&[huge]);
+        assert!(results[0].is_err());
         trace.check().unwrap();
         assert!(!trace.is_empty(), "failures still produce a trace");
         let tree = flexer_trace::text::render_tree(&trace);
@@ -1922,8 +1948,18 @@ mod tests {
                 assert_eq!(s.score, p.score);
                 assert_eq!(s.schedule, p.schedule);
                 assert!(s.is_exact() && p.is_exact());
-                let ss = static_search(&ar, &seeded).run_layer(&l).unwrap();
-                let ps = static_search(&ar, &plain).run_layer(&l).unwrap();
+                let ss = Search {
+                    kind: SchedulerKind::Static,
+                    ..Search::new(&ar, &seeded)
+                }
+                .run_layer(&l)
+                .unwrap();
+                let ps = Search {
+                    kind: SchedulerKind::Static,
+                    ..Search::new(&ar, &plain)
+                }
+                .run_layer(&l)
+                .unwrap();
                 assert_eq!(ss.factors, ps.factors);
                 assert_eq!(ss.score, ps.score);
                 assert_eq!(ss.schedule, ps.schedule);
@@ -2109,7 +2145,12 @@ mod tests {
         }
         .run_layer(&layer())
         .unwrap();
-        let plain = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let plain = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         assert!(r.is_exact());
         assert_eq!(r.gap(), None);
         assert_eq!(r.schedule, plain.schedule);
@@ -2166,12 +2207,22 @@ mod tests {
         let mut opts = SearchOptions::quick();
         opts.threads = 1;
         opts.validate = true;
-        let plain = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let plain = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         opts.residency = Residency {
             input_resident: true,
             output_resident: true,
         };
-        let resident = static_search(&arch(), &opts).run_layer(&layer()).unwrap();
+        let resident = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch(), &opts)
+        }
+        .run_layer(&layer())
+        .unwrap();
         let traffic = resident.schedule.traffic();
         assert_eq!(traffic.class_bytes(TrafficClass::Input), 0);
         assert_eq!(traffic.class_bytes(TrafficClass::Output), 0);

@@ -42,8 +42,9 @@ fn assert_points_dominate_bounds(layer: &ConvLayer, arch: &ArchConfig, ooo: bool
         kind: kind(ooo),
         ..Search::new(arch, &opts)
     };
-    let result = search.run(std::slice::from_ref(layer)).results.remove(0);
-    let result = result.expect("search succeeds on generated layer");
+    let result = search
+        .run_layer(layer)
+        .expect("search succeeds on generated layer");
     assert!(!result.points.is_empty());
     for p in &result.points {
         let b = lower_bound(layer, arch, &perf, &p.factors);

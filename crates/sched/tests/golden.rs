@@ -8,21 +8,8 @@
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
 use flexer_sched::{
-    search_layer, EvalMode, LayerSearchResult, SchedError, SchedulerKind, Search, SearchOptions,
+    search_layer, EvalMode, LayerSearchResult, SchedulerKind, Search, SearchOptions,
 };
-
-/// The static-baseline search of one layer.
-fn search_static(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<LayerSearchResult, SchedError> {
-    let search = Search {
-        kind: SchedulerKind::Static,
-        ..Search::new(arch, opts)
-    };
-    search.run(std::slice::from_ref(layer)).results.remove(0)
-}
 
 fn layers() -> Vec<ConvLayer> {
     vec![
@@ -50,10 +37,11 @@ fn assert_same_winner(a: &LayerSearchResult, b: &LayerSearchResult) {
 #[test]
 fn ooo_search_is_identical_across_eval_modes() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
-    // Serial: under parallel pruning the incumbent race decides how far
-    // a cut candidate runs, so effort counters such as `sets_evaluated`
-    // are only comparable between two runs on one thread.
-    let [tx, clone] = modes().map(|mut opts| {
+    let [tx, clone] = modes();
+    // Under parallel pruning the incumbent race decides how far a cut
+    // candidate runs, so `sets_evaluated` is only comparable between
+    // two runs on one thread.
+    let [serial_tx, serial_clone] = modes().map(|mut opts| {
         opts.threads = 1;
         opts
     });
@@ -64,6 +52,8 @@ fn ooo_search_is_identical_across_eval_modes() {
         // Only the cost accounting differs between the modes.
         assert!(a.stats.rollback_bytes > 0);
         assert_eq!(b.stats.rollback_bytes, 0);
+        let a = search_layer(&layer, &arch, &serial_tx).unwrap();
+        let b = search_layer(&layer, &arch, &serial_clone).unwrap();
         assert_eq!(a.stats.sets_evaluated, b.stats.sets_evaluated);
     }
 }
@@ -75,8 +65,18 @@ fn static_search_is_identical_across_eval_modes() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let [tx, clone] = modes();
     for layer in layers() {
-        let a = search_static(&layer, &arch, &tx).unwrap();
-        let b = search_static(&layer, &arch, &clone).unwrap();
+        let a = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch, &tx)
+        }
+        .run_layer(&layer)
+        .unwrap();
+        let b = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch, &clone)
+        }
+        .run_layer(&layer)
+        .unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.factors, b.factors);
         assert_eq!(a.dataflow, b.dataflow);

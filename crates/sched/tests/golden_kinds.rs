@@ -7,22 +7,7 @@
 
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::{ConvLayer, ConvLayerBuilder};
-use flexer_sched::{
-    search_layer, LayerSearchResult, SchedError, SchedulerKind, Search, SearchOptions,
-};
-
-/// The static-baseline search of one layer.
-fn search_static(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<LayerSearchResult, SchedError> {
-    let search = Search {
-        kind: SchedulerKind::Static,
-        ..Search::new(arch, opts)
-    };
-    search.run(std::slice::from_ref(layer)).results.remove(0)
-}
+use flexer_sched::{search_layer, LayerSearchResult, SchedulerKind, Search, SearchOptions};
 
 fn kinds() -> Vec<ConvLayer> {
     vec![
@@ -63,8 +48,18 @@ fn new_kinds_search_deterministically_on_every_arch() {
             let b = search_layer(&layer, &arch, &opts).unwrap();
             assert_same_winner(&a, &b);
             assert!(a.schedule.latency() > 0, "{}", layer.name());
-            let sa = search_static(&layer, &arch, &opts).unwrap();
-            let sb = search_static(&layer, &arch, &opts).unwrap();
+            let sa = Search {
+                kind: SchedulerKind::Static,
+                ..Search::new(&arch, &opts)
+            }
+            .run_layer(&layer)
+            .unwrap();
+            let sb = Search {
+                kind: SchedulerKind::Static,
+                ..Search::new(&arch, &opts)
+            }
+            .run_layer(&layer)
+            .unwrap();
             assert_same_winner(&sa, &sb);
             // The OoO winner never loses to the static baseline.
             assert!(a.score <= sa.score, "{}", layer.name());
@@ -99,8 +94,18 @@ fn matmul_winner_is_byte_identical_to_its_pointwise_lowering() {
         let a = search_layer(&mm, &arch, &opts).unwrap();
         let b = search_layer(&pw, &arch, &opts).unwrap();
         assert_same_winner(&a, &b);
-        let sa = search_static(&mm, &arch, &opts).unwrap();
-        let sb = search_static(&pw, &arch, &opts).unwrap();
+        let sa = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch, &opts)
+        }
+        .run_layer(&mm)
+        .unwrap();
+        let sb = Search {
+            kind: SchedulerKind::Static,
+            ..Search::new(&arch, &opts)
+        }
+        .run_layer(&pw)
+        .unwrap();
         assert_same_winner(&sa, &sb);
     }
 }

@@ -10,7 +10,7 @@
 use crate::protocol::{hex_encode, ok_response, ErrorKind, Mode, Obj, Op, OptionsName, Request};
 use flexer::prelude::*;
 use flexer_arch::ArchPreset;
-use flexer_sched::{LayerSearchResult, SchedError};
+use flexer_sched::SchedError;
 use flexer_store::{Ingest, ScheduleStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -466,21 +466,10 @@ impl Engine {
         let mut rows = Vec::with_capacity(net.layers().len());
         for layer in net.layers() {
             deadline.check()?;
-            let result = Self::search_layer(driver, layer, kind, None);
-            rows.push(result.map_err(|e| Self::sched_failure(&e))?);
+            let run = driver.search(std::slice::from_ref(layer), kind, None, None);
+            rows.extend(run.into_result().map_err(|e| Self::sched_failure(&e))?);
         }
         Ok(NetworkResult::new(net.name(), rows))
-    }
-
-    /// One untraced layer search through the driver.
-    fn search_layer(
-        driver: &Flexer,
-        layer: &ConvLayer,
-        kind: SchedulerKind,
-        deadline: Option<Instant>,
-    ) -> Result<LayerSearchResult, SchedError> {
-        let mut run = driver.search(std::slice::from_ref(layer), kind, deadline, None);
-        run.results.pop().expect("one layer in, one result out")
     }
 
     fn push_totals(o: &mut Obj, req: &Request, result: &NetworkResult) {
@@ -612,16 +601,23 @@ impl Engine {
     /// when any layer was cut.
     ///
     /// Anytime results bypass the persistent store and the memo cache
-    /// in both directions — only proven optima are durable.
+    /// in both directions — only proven optima are durable — even when
+    /// the request carries no deadline, so the search runs on the
+    /// driver's architecture and options but not through the driver.
     fn run_schedule_anytime(
         req: &Request,
         net: &Network,
         deadline: &Deadline,
         driver: &Flexer,
     ) -> Result<String, Failure> {
+        let search = Search {
+            deadline: deadline.at(),
+            ..Search::new(driver.arch(), driver.options())
+        };
         let mut rows = Vec::with_capacity(net.layers().len());
         for layer in net.layers() {
-            let result = Self::search_layer(driver, layer, SchedulerKind::Ooo, deadline.at())
+            let result = search
+                .run_layer(layer)
                 .map_err(|e| Self::sched_failure(&e))?;
             rows.push(result);
         }
@@ -823,6 +819,34 @@ mod tests {
             rows[0].get("gap").is_none(),
             "exact layers carry no gap member"
         );
+    }
+
+    #[test]
+    fn unbounded_anytime_schedule_bypasses_store_and_memo() {
+        let dir = std::env::temp_dir().join(format!(
+            "flexer-serve-anytime-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::with_store(dir.clone(), None);
+        let req = schedule_req(r#","mode":"anytime""#);
+        let first = engine.run(&req, &Deadline::unbounded()).unwrap();
+        // A second run would replay a memoized winner (one evaluated
+        // candidate) if the first had gone through the memo cache.
+        let second = engine.run(&req, &Deadline::unbounded()).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(engine.store_entries(), Some(0), "anytime result persisted");
+        let j = flexer_trace::json::parse(&first).unwrap();
+        let num = |key: &str| j.get(key).and_then(flexer_trace::json::Json::as_num);
+        assert_eq!(num("store_hits"), Some(0.0));
+        assert_eq!(num("store_misses"), Some(0.0));
+        assert!(num("evaluated").unwrap() > 1.0);
+        let layers = j.get("layers").cloned().unwrap();
+        for row in layers.as_array().unwrap() {
+            assert!(row.get("store").is_none(), "row names the store: {first}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

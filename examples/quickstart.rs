@@ -35,9 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ooo.dataflow,
     );
 
-    let layers = std::slice::from_ref(&layer);
-    let run = driver.search(layers, SchedulerKind::Static, None, None);
-    let baseline = run.into_result()?.remove(0);
+    let baseline = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(driver.arch(), driver.options())
+    }
+    .run_layer(&layer)?;
     println!(
         "best static order    : {:>12} cycles  {:>12} B  [{} / {}]",
         baseline.schedule.latency(),

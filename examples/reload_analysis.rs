@@ -45,9 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let driver = Flexer::new(arch.clone()).with_options(SearchOptions::quick());
     let ooo = driver.schedule_layer(&layer)?;
-    let layers = std::slice::from_ref(&layer);
-    let run = driver.search(layers, SchedulerKind::Static, None, None);
-    let baseline = run.into_result()?.remove(0);
+    let baseline = Search {
+        kind: SchedulerKind::Static,
+        ..Search::new(driver.arch(), driver.options())
+    }
+    .run_layer(&layer)?;
 
     // Figure-10-style traffic breakdown against the infinite-buffer
     // reference.

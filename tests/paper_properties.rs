@@ -3,7 +3,7 @@
 
 use flexer::arch::SystolicModel;
 use flexer::prelude::*;
-use flexer::sched::{search_layer, OooScheduler, Search, StaticScheduler};
+use flexer::sched::{search_layer, OooScheduler, StaticScheduler};
 use flexer::sim::TrafficStats;
 
 fn arch5() -> ArchConfig {
@@ -133,8 +133,7 @@ fn flexer_beats_baseline_on_bandwidth_bound_layer() {
         kind: SchedulerKind::Static,
         ..Search::new(&arch, &opts)
     };
-    let st = baseline.run(std::slice::from_ref(layer)).results.remove(0);
-    let st = st.unwrap();
+    let st = baseline.run_layer(layer).unwrap();
     assert!(
         ooo.score < st.score,
         "metric: ooo {} vs static {}",

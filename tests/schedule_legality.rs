@@ -102,12 +102,11 @@ fn search_winners_are_legal() {
     let ooo = flexer::sched::search_layer(&layer, &arch, &opts).unwrap();
     let dfg = Dfg::build(&layer, ooo.factors, ooo.dataflow, &model, &arch).unwrap();
     validate_schedule(&dfg, &ooo.schedule).unwrap();
-    let baseline = flexer::sched::Search {
+    let baseline = Search {
         kind: SchedulerKind::Static,
-        ..flexer::sched::Search::new(&arch, &opts)
+        ..Search::new(&arch, &opts)
     };
-    let st = baseline.run(std::slice::from_ref(&layer)).results.remove(0);
-    let st = st.unwrap();
+    let st = baseline.run_layer(&layer).unwrap();
     let dfg = Dfg::build(&layer, st.factors, st.dataflow, &model, &arch).unwrap();
     validate_schedule(&dfg, &st.schedule).unwrap();
 }

@@ -8,7 +8,7 @@
 //! wrong "optimum".
 
 use flexer::prelude::*;
-use flexer::sched::{SchedError, Search, SeedOptions};
+use flexer::sched::{SchedError, SeedOptions};
 use proptest::prelude::*;
 
 /// Random small conv layers — modest extents so a whole network
@@ -92,8 +92,7 @@ proptest! {
             // No real schedule scores zero: always below every bound.
             inject: Some(0.0),
         };
-        let run = Search::new(&arch, &opts).run(std::slice::from_ref(&layer));
-        let err = run.into_result().unwrap_err();
+        let err = Search::new(&arch, &opts).run_layer(&layer).unwrap_err();
         prop_assert!(
             matches!(err, SchedError::InadmissibleSeed { .. }),
             "expected InadmissibleSeed, got {err:?}"

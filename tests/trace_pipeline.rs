@@ -4,7 +4,6 @@
 //! one-layer search.
 
 use flexer::prelude::*;
-use flexer::sched::{LayerSearchResult, SchedError, Search};
 use flexer::trace::{chrome, text};
 
 /// The fixed search every test in this file agrees on: one small layer,
@@ -56,25 +55,15 @@ lane 2 \"g/1\"
   #5 candidate [0 +1] layer=g tiling=k1\u{b7}c1\u{b7}1x1 dataflow=Csk outcome=scheduled latency=990 transfer_bytes=1600 score=1584000.0
 ";
 
-/// One traced layer search under the default trace options.
-fn search_layer_traced(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> (Result<LayerSearchResult, SchedError>, Trace) {
-    let search = Search {
-        trace: Some(TraceOptions::default()),
-        ..Search::new(arch, opts)
-    };
-    let mut run = search.run(std::slice::from_ref(layer));
-    (run.results.remove(0), run.trace)
-}
-
 #[test]
 fn golden_span_tree_is_pinned_byte_for_byte() {
-    let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let (res, trace) = search_layer_traced(&golden_layer(), &arch, &golden_opts());
-    res.unwrap();
+    let (arch, opts) = (ArchConfig::preset(ArchPreset::Arch1), golden_opts());
+    let SearchRun { results, trace } = Search {
+        trace: Some(TraceOptions::default()),
+        ..Search::new(&arch, &opts)
+    }
+    .run(&[golden_layer()]);
+    results[0].as_ref().unwrap();
     trace.check().unwrap();
     assert_eq!(text::render_tree(&trace), GOLDEN_TREE);
 }
@@ -82,13 +71,18 @@ fn golden_span_tree_is_pinned_byte_for_byte() {
 #[test]
 fn chrome_export_is_byte_stable_across_runs() {
     let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let layer = golden_layer();
     let opts = golden_opts();
-    let (ra, a) = search_layer_traced(&layer, &arch, &opts);
-    let (rb, b) = search_layer_traced(&layer, &arch, &opts);
-    let (ra, rb) = (ra.unwrap(), rb.unwrap());
-    assert_eq!(ra.schedule.latency(), rb.schedule.latency());
-    let (ja, jb) = (chrome::to_chrome_json(&a), chrome::to_chrome_json(&b));
+    let traced = Search {
+        trace: Some(TraceOptions::default()),
+        ..Search::new(&arch, &opts)
+    };
+    let [a, b] = [0, 1].map(|_| traced.run(&[golden_layer()]));
+    let latency = |run: &SearchRun| run.results[0].as_ref().unwrap().schedule.latency();
+    assert_eq!(latency(&a), latency(&b));
+    let (ja, jb) = (
+        chrome::to_chrome_json(&a.trace),
+        chrome::to_chrome_json(&b.trace),
+    );
     assert_eq!(ja, jb);
     // Minimal schema sanity on the shared bytes: the JSON object
     // format with complete ("ph":"X") and counter ("ph":"C") events.
@@ -140,9 +134,13 @@ fn thread_count_does_not_change_the_trace_when_pruning_is_off() {
 
 #[test]
 fn gantt_trace_of_the_winner_covers_every_core() {
-    let arch = ArchConfig::preset(ArchPreset::Arch1);
-    let (res, _) = search_layer_traced(&golden_layer(), &arch, &golden_opts());
-    let res = res.unwrap();
+    let (arch, opts) = (ArchConfig::preset(ArchPreset::Arch1), golden_opts());
+    let res = Search {
+        trace: Some(TraceOptions::default()),
+        ..Search::new(&arch, &opts)
+    }
+    .run_layer(&golden_layer())
+    .unwrap();
     let gantt = schedule_trace(&res.schedule, "g");
     gantt.check().unwrap();
     // One lane per core that computed something, plus the DMA lane
