@@ -13,33 +13,27 @@ cargo test -q --offline --locked --manifest-path flexbench/Cargo.toml
 # bench_json writes every BENCH_PR*.json here, never over the
 # committed files.
 export FLEXER_BENCH_DIR=.bench-ci
-cargo test -q
+# Every suite of every crate, in one run. It includes:
+# - Differential gate: the interpreter/verifier suites of flexer-sim
+#   and flexer-sched, plus a network-level sweep executing every
+#   winning schedule on the SPM abstract machine.
+# - Recorded proptest failures: the vendored proptest stand-in does not
+#   read .proptest-regressions files, so the shrunken seeds live in
+#   dedicated regression_seed_* tests that must never rot.
+# - Trace gate: golden span tree, Chrome schema, thread-count
+#   invariance (tests/trace_pipeline.rs).
+# - Anytime gate: an expiring deadline yields a partial result with a
+#   proven gap instead of a typed deadline error (flexer-serve).
+# - Store and serving suites: fingerprint pinning, corruption handling,
+#   warm-start byte identity, server abuse (saturation, malformed
+#   input, deadlines, graceful drain).
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
-# Differential gate: the interpreter/verifier suites plus a network-level
-# sweep executing every winning schedule on the SPM abstract machine.
-cargo test -q -p flexer-sim -p flexer-sched
-# Recorded proptest failures replayed explicitly: the vendored proptest
-# stand-in does not read .proptest-regressions files, so the shrunken
-# seeds live in dedicated regression_seed_* tests that must never rot.
-cargo test -q --test property_schedules regression_seed
-# Trace gate: golden span tree, Chrome schema, thread-count invariance.
-cargo test -q --test trace_pipeline
 ./target/release/verify
 # Branch-and-bound gate: pruned and exhaustive searches must agree
 # (asserted inside bench_json) while the pruned one is faster. Also
 # emits a sample search trace (validated on write) as a CI artifact.
 FLEXER_BENCH_ITERS="${FLEXER_BENCH_ITERS:-3}" ./target/release/bench_json --trace-out trace.json
-# Solver-seeding gate: on both reference presets the seeded search must
-# schedule strictly fewer candidates to completion than the unseeded
-# one while returning byte-identical winners layer for layer — both
-# hard-asserted inside bench_json --seed, which exits non-zero (and
-# prints no "seed gate" lines) on violation.
-seed_out="$(FLEXER_BENCH_ITERS="${FLEXER_BENCH_ITERS:-3}" ./target/release/bench_json --seed)"
-echo "$seed_out"
-if [ "$(grep -c '^seed gate arch' <<<"$seed_out")" -lt 2 ]; then
-    echo "check.sh: bench_json --seed did not report both presets" >&2
-    exit 1
-fi
 # Residency gate: the network-level inter-layer residency planner must
 # strictly cut total DMA bytes with latency no worse on both reference
 # presets, keep the residency-disabled run byte-identical to the plain
@@ -66,14 +60,6 @@ if [ "$(grep -c '^zoo gate ' <<<"$zoo_out")" -lt 9 ]; then
     echo "check.sh: bench_json --zoo did not report all nine net/arch pairs" >&2
     exit 1
 fi
-# Anytime gate: an expiring deadline yields a partial result with a
-# proven gap instead of a typed deadline error.
-cargo test -q -p flexer-serve anytime
-cargo test -q --test seeded_search
-# Store and serving suites: fingerprint pinning, corruption handling,
-# warm-start byte identity, server abuse (saturation, malformed input,
-# deadlines, graceful drain).
-cargo test -q -p flexer-store -p flexer-serve
 # Store gate, run twice against one directory: every invocation proves
 # warm hits == layers and byte-identical winners internally; the
 # second invocation must additionally warm-start from the first

@@ -37,17 +37,6 @@
 //! same directory and even the "first" pass of the second run is warm
 //! — that cross-process warm start is what CI asserts.
 //!
-//! Pass `--seed` to run the *solver-seeding* suite instead: the same
-//! scaled-SqueezeNet network searched with and without
-//! [`SearchOptions::seed`] (analytical incumbent seeding) on both
-//! reference presets, plus the solver-only backend
-//! (`flexer::sched::solve_layer`). Hard-asserts that the seeded and
-//! unseeded winners are byte-identical layer for layer and that
-//! seeding strictly reduces the number of candidates scheduled to
-//! completion. Rows: `{bench, arch, median_ns, evaluated,
-//! candidates_bounded, candidates_pruned, early_exits, full_evals,
-//! seeded_cutoffs, gap_ppm}`. Writes `BENCH_PR6.json`.
-//!
 //! Pass `--residency` to run the *inter-layer residency* suite
 //! instead: the network-level residency planner versus the plain
 //! per-layer DRAM round-trip on both reference presets, every
@@ -213,148 +202,6 @@ fn bench_search_prune(iters: usize) -> Vec<PruneRow> {
         });
     }
     rows
-}
-
-/// One row of the PR 6 suite: solver-seeded search vs unseeded, plus
-/// the solver-only backend vs the exact search.
-struct SeedRow {
-    bench: &'static str,
-    arch: String,
-    median_ns: u128,
-    evaluated: usize,
-    candidates_bounded: u64,
-    candidates_pruned: u64,
-    early_exits: u64,
-    full_evals: u64,
-    seeded_cutoffs: u64,
-    gap_ppm: u64,
-}
-
-/// Scheduler runs that went to completion: everything evaluated minus
-/// what the bound gate skipped and what the cutoff aborted mid-run.
-fn full_evals(results: &[flexer::sched::LayerSearchResult]) -> u64 {
-    results
-        .iter()
-        .map(|r| r.evaluated as u64 - r.stats.candidates_pruned - r.stats.early_exits)
-        .sum()
-}
-
-/// The PR 6 suite: analytical incumbent seeding and the solver-only
-/// backend, both presets. Writes `BENCH_PR6.json`.
-fn bench_seed(iters: usize) {
-    let out6 = bench_out("BENCH_PR6.json");
-    let net = scale_spatial(&networks::by_name("squeezenet").expect("known net"), 4);
-    let mut rows = Vec::new();
-    for preset in [ArchPreset::Arch1, ArchPreset::Arch5] {
-        let arch = ArchConfig::preset(preset);
-        let mut plain_opts = SearchOptions::quick();
-        plain_opts.threads = 1;
-        let mut seeded_opts = plain_opts.clone();
-        seeded_opts.seed.enabled = true;
-
-        let (plain_ns, plain) = time_network_search(&net, &arch, &plain_opts, iters);
-        let (seeded_ns, seeded) = time_network_search(&net, &arch, &seeded_opts, iters);
-
-        // Seeding is winner-neutral: identical winners, layer for layer.
-        for (s, p) in seeded.iter().zip(plain.iter()) {
-            assert_eq!(s.factors, p.factors, "{}: tiling differs", s.layer);
-            assert_eq!(s.dataflow, p.dataflow, "{}: dataflow differs", s.layer);
-            assert_eq!(s.schedule, p.schedule, "{}: schedule differs", s.layer);
-            assert!(
-                (s.score - p.score).abs() < 1e-9,
-                "{}: score differs",
-                s.layer
-            );
-        }
-        assert!(
-            full_evals(&seeded) < full_evals(&plain),
-            "{preset}: seeding must strictly reduce full scheduler runs \
-             ({} vs {})",
-            full_evals(&seeded),
-            full_evals(&plain),
-        );
-
-        // Solver-only backend vs the exact search, summed over layers.
-        let t = Instant::now();
-        let solved: Vec<_> = net
-            .layers()
-            .iter()
-            .map(|l| flexer::sched::solve_layer(l, &arch, &seeded_opts).expect("solver schedules"))
-            .collect();
-        let solve_ns = t.elapsed().as_nanos();
-        for (s, p) in solved.iter().zip(plain.iter()) {
-            assert!(
-                s.score >= p.score - 1e-9,
-                "{}: the solver cannot beat the proven optimum",
-                s.layer
-            );
-        }
-
-        for (bench, ns, results) in [
-            ("search_seeded", seeded_ns, &seeded),
-            ("search_unseeded", plain_ns, &plain),
-            ("solve_only", solve_ns, &solved),
-        ] {
-            let mut stats = SearchStats::default();
-            let mut evaluated = 0;
-            for r in results.iter() {
-                stats.merge(&r.stats);
-                evaluated += r.evaluated;
-            }
-            rows.push(SeedRow {
-                bench,
-                arch: preset.to_string(),
-                median_ns: ns,
-                evaluated,
-                candidates_bounded: stats.candidates_bounded,
-                candidates_pruned: stats.candidates_pruned,
-                early_exits: stats.early_exits,
-                full_evals: full_evals(results),
-                seeded_cutoffs: stats.seeded_cutoffs,
-                gap_ppm: stats.seed_gap_ppm,
-            });
-        }
-    }
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"{}\", \"arch\": \"{}\", \"median_ns\": {}, \"evaluated\": {}, \
-             \"candidates_bounded\": {}, \"candidates_pruned\": {}, \"early_exits\": {}, \
-             \"full_evals\": {}, \"seeded_cutoffs\": {}, \"gap_ppm\": {}}}{}\n",
-            r.bench,
-            r.arch,
-            r.median_ns,
-            r.evaluated,
-            r.candidates_bounded,
-            r.candidates_pruned,
-            r.early_exits,
-            r.full_evals,
-            r.seeded_cutoffs,
-            r.gap_ppm,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out6, &json).expect("write benchmark output");
-    println!("wrote {out6}");
-    for triple in rows.chunks(3) {
-        let [s, p, o] = triple else {
-            unreachable!("rows come in seeded/unseeded/solver triples")
-        };
-        println!(
-            "seed gate {}: seeded {} ns / {} full runs vs unseeded {} ns / {} full runs \
-             ({} seed cutoffs); solver-only {} ns, {} full runs, gap {} ppm",
-            s.arch,
-            s.median_ns,
-            s.full_evals,
-            p.median_ns,
-            p.full_evals,
-            s.seeded_cutoffs,
-            o.median_ns,
-            o.full_evals,
-            o.gap_ppm,
-        );
-    }
 }
 
 /// The PR 8 suite: the network-level inter-layer residency planner
@@ -984,7 +831,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut trace_out: Option<String> = None;
     let mut store_dir: Option<String> = None;
-    let mut seed_only = false;
     let mut residency_only = false;
     let mut zoo_only = false;
     let mut fleet_only = false;
@@ -995,9 +841,6 @@ fn main() {
             }
             "--store" => {
                 store_dir = Some(args.next().expect("--store needs a directory"));
-            }
-            "--seed" => {
-                seed_only = true;
             }
             "--residency" => {
                 residency_only = true;
@@ -1011,7 +854,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument {other:?}; supported: --trace-out <path>, \
-                     --store <dir>, --seed, --residency, --zoo, --fleet"
+                     --store <dir>, --residency, --zoo, --fleet"
                 );
                 std::process::exit(2);
             }
@@ -1029,10 +872,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
-    if seed_only {
-        bench_seed(iters);
-        return;
-    }
     if residency_only {
         bench_residency(iters);
         return;

@@ -600,20 +600,6 @@ mod tests {
         assert!(line.contains("rollback"), "{line}");
         let table = d.compare_network(&net).unwrap().render_table();
         assert!(table.contains("search effort"), "{table}");
-        assert!(
-            !table.contains("seeding (flexer)"),
-            "seed line without seeding: {table}"
-        );
-    }
-
-    #[test]
-    fn seeded_search_reports_its_seed_line() {
-        let mut opts = SearchOptions::quick();
-        opts.seed.enabled = true;
-        let d = Flexer::new(ArchConfig::preset(ArchPreset::Arch1)).with_options(opts);
-        let table = d.compare_network(&tiny_net()).unwrap().render_table();
-        assert!(table.contains("seeding (flexer)"), "{table}");
-        assert!(table.contains("ppm"), "{table}");
     }
 
     #[test]

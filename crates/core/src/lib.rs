@@ -90,7 +90,7 @@ pub mod prelude {
     pub use flexer_model::{networks, scale_spatial, ConvLayer, ConvLayerBuilder, Network};
     pub use flexer_sched::{
         EvalMode, Metric, PriorityPolicy, SchedulerKind, Search, SearchOptions, SearchOutcome,
-        SearchRun, SearchStats, SeedOptions, SpillPolicyChoice, TraceOptions,
+        SearchRun, SearchStats, SpillPolicyChoice, TraceOptions,
     };
     pub use flexer_sim::{
         onchip_reference_traffic, schedule_energy, schedule_trace, validate_schedule, TrafficClass,

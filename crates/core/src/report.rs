@@ -262,13 +262,6 @@ impl NetworkComparison {
                 stats.candidates_bounded, stats.candidates_pruned, stats.early_exits
             );
         }
-        if stats.seeded_cutoffs > 0 || stats.seed_gap_ppm > 0 {
-            let _ = writeln!(
-                out,
-                "seeding (flexer): {} candidates cut by the solver seed, summed seed gap {} ppm",
-                stats.seeded_cutoffs, stats.seed_gap_ppm
-            );
-        }
         if self.flexer.verified() && self.baseline.verified() {
             let _ = writeln!(
                 out,

@@ -1,10 +1,9 @@
 //! The branch-and-bound machinery of the tiling × dataflow search.
 //!
 //! The admissible [`ScheduleBound`] and its constructor
-//! [`lower_bound`] live in `flexer-solve` — the analytical solver and
-//! the exact search share one definition of "no schedule can beat
-//! this" — and are re-exported here. This module keeps the pieces that
-//! only make sense inside a running search:
+//! [`lower_bound`] live in `flexer-solve` and are re-exported here.
+//! This module keeps the pieces that only make sense inside a running
+//! search:
 //!
 //! * [`Incumbent`] — the best score found so far for one layer,
 //!   shared lock-free across worker threads;
@@ -64,10 +63,7 @@ impl Default for Incumbent {
 /// aborts with [`crate::SchedError::Pruned`]. Strictness is what keeps
 /// pruning exact: a candidate tying the incumbent is still scheduled to
 /// completion, preserving the exhaustive search's first-in-work-order
-/// tie-break. The same strictness makes *seeding* the incumbent with
-/// an analytically found schedule winner-neutral: a seeded cutoff can
-/// only skip candidates that provably lose to a schedule the search
-/// itself would also have found and preferred.
+/// tie-break.
 #[derive(Debug, Clone, Copy)]
 pub struct Cutoff<'a> {
     incumbent: &'a Incumbent,

@@ -48,23 +48,6 @@ pub enum SchedError {
         /// The leader's error.
         error: Box<SchedError>,
     },
-    /// A seed score injected into the incumbent undercut the layer's
-    /// best admissible lower bound, or cut every candidate of the
-    /// layer — an inadmissible seed could silently prune the true
-    /// optimum, so it is rejected with this typed error instead of
-    /// letting the search return a non-optimal winner.
-    ///
-    /// Scores are carried as `f64::to_bits` patterns so the error type
-    /// stays `Eq`; [`std::fmt::Display`] renders the numeric values.
-    InadmissibleSeed {
-        /// Name of the layer whose search was poisoned.
-        layer: String,
-        /// Bit pattern (`f64::to_bits`) of the injected seed score.
-        seed_score_bits: u64,
-        /// Bit pattern (`f64::to_bits`) of the layer's best admissible
-        /// lower-bound score.
-        bound_score_bits: u64,
-    },
 }
 
 impl fmt::Display for SchedError {
@@ -90,19 +73,6 @@ impl fmt::Display for SchedError {
             }
             SchedError::DuplicateOf { leader, error } => {
                 write!(f, "search failed for identical layer {leader:?}: {error}")
-            }
-            SchedError::InadmissibleSeed {
-                layer,
-                seed_score_bits,
-                bound_score_bits,
-            } => {
-                write!(
-                    f,
-                    "inadmissible seed for layer {layer:?}: seed score {} \
-                     cuts below the best admissible lower bound {}",
-                    f64::from_bits(*seed_score_bits),
-                    f64::from_bits(*bound_score_bits)
-                )
             }
         }
     }
@@ -188,20 +158,5 @@ mod tests {
     #[test]
     fn pruned_display_is_not_alarming() {
         assert!(SchedError::Pruned.to_string().contains("pruned"));
-    }
-
-    #[test]
-    fn inadmissible_seed_round_trips_its_scores() {
-        let e = SchedError::InadmissibleSeed {
-            layer: "conv3".into(),
-            seed_score_bits: 1.5f64.to_bits(),
-            bound_score_bits: 2.5f64.to_bits(),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("conv3"));
-        assert!(msg.contains("1.5"));
-        assert!(msg.contains("2.5"));
-        // Bit-pattern fields keep the enum Eq.
-        assert_eq!(e.clone(), e);
     }
 }

@@ -70,9 +70,9 @@ pub use ooo::{EvalMode, OooScheduler};
 pub use priority::{PriorityPolicy, SetEvaluation};
 pub use program::{Command, Program, ProgramError};
 pub use search::{
-    search_layer, solve_layer, sweep_tilings, verify_layer_result, LayerSearchResult, MemoKey,
-    SchedulePoint, SchedulerKind, Search, SearchOptions, SearchOutcome, SearchRun, SeedOptions,
-    SpillPolicyChoice, TraceOptions,
+    search_layer, sweep_tilings, verify_layer_result, LayerSearchResult, MemoKey, SchedulePoint,
+    SchedulerKind, Search, SearchOptions, SearchOutcome, SearchRun, SpillPolicyChoice,
+    TraceOptions,
 };
 pub use static_sched::StaticScheduler;
 pub use stats::{SearchStats, StatKind};

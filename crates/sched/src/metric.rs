@@ -1,9 +1,9 @@
 //! Score encoding for the search's atomic incumbent.
 //!
 //! The ranking [`Metric`] itself lives in `flexer-solve` (the
-//! analytical solver scores candidates with the same objective the
-//! exact search minimizes) and is re-exported here; this module keeps
-//! the lock-free encoding the shared [`crate::Incumbent`] relies on.
+//! admissible bounds are scored with the same objective the search
+//! minimizes) and is re-exported here; this module keeps the
+//! lock-free encoding the shared [`crate::Incumbent`] relies on.
 
 pub use flexer_solve::Metric;
 

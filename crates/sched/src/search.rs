@@ -72,45 +72,6 @@ impl TraceOptions {
     }
 }
 
-/// Analytical incumbent seeding (`flexer-solve`).
-///
-/// When enabled, each leader layer's search starts with a *seed pass*:
-/// the solver ranks every (tiling, dataflow) candidate with its
-/// closed-form contention model, the top-`top_k` are fully evaluated
-/// first, and the best of them becomes the initial [`Incumbent`]. The
-/// branch-and-bound cutoff is therefore strong from the very first
-/// regular candidate instead of warming up over hundreds of full
-/// evaluations. Because cutoff comparisons are *strict*, seeding is
-/// winner-neutral: the search returns byte-identical winners with
-/// seeding on or off (see DESIGN.md §13). Excluded from the memo key
-/// for the same reason.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SeedOptions {
-    /// Run the solver seed pass before the exact search. Off by
-    /// default; requires pruning (a seed without a cutoff to arm does
-    /// nothing and is skipped).
-    pub enabled: bool,
-    /// How many solver-ranked candidates the seed pass fully
-    /// evaluates. Clamped to at least 1.
-    pub top_k: usize,
-    /// Test hook: install this exact score as the incumbent instead of
-    /// evaluating solver candidates. An inadmissible value — below the
-    /// layer's best lower bound, or cutting every candidate — fails
-    /// the search with [`SchedError::InadmissibleSeed`] rather than
-    /// silently returning a non-optimum.
-    pub inject: Option<f64>,
-}
-
-impl Default for SeedOptions {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            top_k: 4,
-            inject: None,
-        }
-    }
-}
-
 /// How a layer search terminated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SearchOutcome {
@@ -201,11 +162,6 @@ pub struct SearchOptions {
     /// the winner does not depend on it.
     #[serde(default)]
     pub prune: bool,
-    /// Analytical incumbent seeding (see [`SeedOptions`]). Off by
-    /// default; winner-neutral, so excluded from the memo key like
-    /// [`SearchOptions::prune`].
-    #[serde(default)]
-    pub seed: SeedOptions,
     /// Cross-layer SPM residency of this layer's tensors, assigned by
     /// the network-level planner (`flexer-core`). A resident input is
     /// gathered from the producer's reserved SPM region instead of
@@ -233,7 +189,6 @@ impl Default for SearchOptions {
             collect_points: false,
             validate: false,
             prune: true,
-            seed: SeedOptions::default(),
             residency: Residency::default(),
         }
     }
@@ -903,98 +858,6 @@ impl<'a> Search<'a> {
             (outcome, lane)
         };
 
-        // Solver seed pass (`flexer-solve`). For each leader the top-k
-        // analytically ranked candidates are fully evaluated *before* the
-        // drain, so every regular candidate already faces a near-optimal
-        // incumbent instead of one that warms up over the whole queue.
-        // Strict cutoffs keep this winner-neutral (see DESIGN.md §13).
-        // Requires pruning: a seed without a cutoff to arm does nothing.
-        let seed_enabled = opts.seed.enabled && prune_enabled;
-        let mut seeded: Vec<bool> = vec![false; work.len()];
-        let mut seed_errors: Vec<Option<SchedError>> = layers.iter().map(|_| None).collect();
-        let mut seed_scores: Vec<f64> = vec![f64::INFINITY; layers.len()];
-        let mut seed_gap_ppms: Vec<u64> = vec![0; layers.len()];
-        let mut seed_nanos: Vec<u64> = vec![0; layers.len()];
-        let mut seed_results: Vec<(usize, (RunOutcome, Lane))> = Vec::new();
-        if seed_enabled {
-            for (li, role) in roles.iter().enumerate() {
-                let Role::Leader { span: (start, end) } = *role else {
-                    continue;
-                };
-                if start == end {
-                    continue;
-                }
-                let seed_span = lane0.is_enabled().then(|| {
-                    let guard = lane0.enter("seed");
-                    lane0.attr("layer", layers[li].name());
-                    guard
-                });
-                let seed_start = Instant::now();
-                let min_bound = bounds[start..end]
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                match opts.seed.inject {
-                    // An injected score below every candidate's admissible
-                    // floor would cut the whole layer — reject it up front.
-                    Some(inject) if inject < min_bound => {
-                        if seed_span.is_some() {
-                            lane0.attr("outcome", "inadmissible");
-                        }
-                        seed_errors[li] = Some(SchedError::InadmissibleSeed {
-                            layer: layers[li].name().to_owned(),
-                            seed_score_bits: inject.to_bits(),
-                            bound_score_bits: min_bound.to_bits(),
-                        });
-                    }
-                    Some(inject) => {
-                        incumbents[li].observe(inject);
-                        if seed_span.is_some() {
-                            lane0.attr("outcome", "injected");
-                        }
-                    }
-                    None => {
-                        let mut est: Vec<(f64, usize)> = (start..end)
-                            .map(|i| {
-                                let e = flexer_solve::estimate_resident(
-                                    &layers[li],
-                                    arch,
-                                    &model,
-                                    &work[i].1,
-                                    work[i].2,
-                                    opts.residency,
-                                );
-                                (opts.metric.score(e.latency, e.transfer_bytes), i)
-                            })
-                            .collect();
-                        est.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                        let k = opts.seed.top_k.max(1).min(est.len());
-                        for &(_, i) in &est[..k] {
-                            seeded[i] = true;
-                            seed_results.push((i, process(i)));
-                        }
-                        if seed_span.is_some() {
-                            lane0.attr("outcome", "evaluated");
-                            lane0.attr("evaluated", k);
-                        }
-                    }
-                }
-                let score = incumbents[li].get();
-                seed_scores[li] = score;
-                if seed_errors[li].is_none() {
-                    seed_gap_ppms[li] = flexer_solve::gap_ppm(score, min_bound);
-                }
-                seed_nanos[li] = seed_start.elapsed().as_nanos() as u64;
-                if let Some(guard) = seed_span {
-                    lane0.attr("score", score);
-                    lane0.attr("gap_ppm", seed_gap_ppms[li]);
-                    lane0.exit(guard);
-                }
-            }
-            // Seeded items already ran; a seed-poisoned layer runs nothing.
-            exec_order.retain(|&i| !seeded[i] && seed_errors[work[i].0].is_none());
-        }
-
         let mut results: Vec<Option<(RunOutcome, Lane)>> = if threads == 1 {
             let mut slots: Vec<Option<(RunOutcome, Lane)>> = work.iter().map(|_| None).collect();
             for &i in &exec_order {
@@ -1031,9 +894,6 @@ impl<'a> Search<'a> {
             }
             slots
         };
-        for (i, r) in seed_results {
-            results[i] = Some(r);
-        }
 
         // Deterministic per-layer reduction in work order. Leaders always
         // precede their duplicates, so a single in-order pass resolves
@@ -1086,139 +946,106 @@ impl<'a> Search<'a> {
                     }),
                 },
                 Role::Leader { span: (start, end) } => {
-                    if let Some(e) = seed_errors[li].take() {
-                        // A seed-poisoned layer ran no work items: its
-                        // slots are still empty, so the typed error must
-                        // win before the scan below would panic on them.
-                        Err(e)
-                    } else {
-                        let mut best: Option<(usize, Schedule, f64)> = None;
-                        let mut points = Vec::new();
-                        let mut first_err: Option<SchedError> = None;
-                        let mut evaluated = 0usize;
-                        let mut cut = 0u64;
-                        let mut cut_min_bound = f64::INFINITY;
-                        let mut stats = SearchStats::default();
-                        if bounds_enabled {
-                            stats.candidates_bounded += (end - start) as u64;
-                            stats.bound_nanos += bound_nanos[li];
-                        }
-                        stats.seed_nanos += seed_nanos[li];
-                        stats.seed_gap_ppm += seed_gap_ppms[li];
-                        // Original work order, NOT execution order: a pruned
-                        // candidate can never beat (nor tie) the incumbent, so
-                        // keeping the first strict minimum over the surviving
-                        // candidates reproduces the exhaustive search's
-                        // first-in-work-order tie-break exactly.
-                        for i in start..end {
-                            let (outcome, lane) =
-                                results[i].take().expect("every work item processed");
-                            lanes.push(lane);
-                            match outcome {
-                                RunOutcome::Done(done) => {
-                                    let (schedule, run_stats) = *done;
-                                    evaluated += 1;
-                                    stats.merge(&run_stats);
-                                    let score = opts
-                                        .metric
-                                        .score(schedule.latency(), schedule.transfer_bytes());
-                                    if opts.collect_points {
-                                        points.push(SchedulePoint {
-                                            factors: work[i].1,
-                                            dataflow: work[i].2,
-                                            latency: schedule.latency(),
-                                            transfer_bytes: schedule.transfer_bytes(),
-                                            score,
-                                        });
-                                    }
-                                    if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
-                                        best = Some((i, schedule, score));
-                                    }
+                    let mut best: Option<(usize, Schedule, f64)> = None;
+                    let mut points = Vec::new();
+                    let mut first_err: Option<SchedError> = None;
+                    let mut evaluated = 0usize;
+                    let mut cut = 0u64;
+                    let mut cut_min_bound = f64::INFINITY;
+                    let mut stats = SearchStats::default();
+                    if bounds_enabled {
+                        stats.candidates_bounded += (end - start) as u64;
+                        stats.bound_nanos += bound_nanos[li];
+                    }
+                    // Original work order, NOT execution order: a pruned
+                    // candidate can never beat (nor tie) the incumbent, so
+                    // keeping the first strict minimum over the surviving
+                    // candidates reproduces the exhaustive search's
+                    // first-in-work-order tie-break exactly.
+                    for i in start..end {
+                        let (outcome, lane) = results[i].take().expect("every work item processed");
+                        lanes.push(lane);
+                        match outcome {
+                            RunOutcome::Done(done) => {
+                                let (schedule, run_stats) = *done;
+                                evaluated += 1;
+                                stats.merge(&run_stats);
+                                let score = opts
+                                    .metric
+                                    .score(schedule.latency(), schedule.transfer_bytes());
+                                if opts.collect_points {
+                                    points.push(SchedulePoint {
+                                        factors: work[i].1,
+                                        dataflow: work[i].2,
+                                        latency: schedule.latency(),
+                                        transfer_bytes: schedule.transfer_bytes(),
+                                        score,
+                                    });
                                 }
-                                RunOutcome::Bounded => {
-                                    evaluated += 1;
-                                    stats.candidates_pruned += 1;
-                                    // The seed's score alone was enough to
-                                    // cut this candidate.
-                                    if bounds[i] > seed_scores[li] {
-                                        stats.seeded_cutoffs += 1;
-                                    }
+                                if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
+                                    best = Some((i, schedule, score));
                                 }
-                                RunOutcome::EarlyExit => {
-                                    evaluated += 1;
-                                    stats.early_exits += 1;
-                                }
-                                RunOutcome::DeadlineCut => {
-                                    cut += 1;
-                                    if bounds_enabled {
-                                        cut_min_bound = cut_min_bound.min(bounds[i]);
-                                    }
-                                }
-                                RunOutcome::Failed(e) => first_err = first_err.or(Some(e)),
                             }
-                        }
-                        match best {
-                            Some((i, schedule, score)) => {
-                                let outcome = if cut == 0 {
-                                    SearchOutcome::Exact
-                                } else if !bounds_enabled {
-                                    // Unresolved candidates with no bounds:
-                                    // nothing provable about the gap.
-                                    SearchOutcome::Anytime { gap: f64::INFINITY }
-                                } else if cut_min_bound >= score {
-                                    // Every unresolved candidate provably
-                                    // cannot beat the result — but the
-                                    // search was still not exhaustive, so
-                                    // it is not cached as exact.
-                                    SearchOutcome::Anytime { gap: 1.0 }
-                                } else {
-                                    SearchOutcome::Anytime {
-                                        gap: score / cut_min_bound,
-                                    }
-                                };
-                                if outcome.is_exact() {
-                                    if let Some(c) = cache {
-                                        c.insert(
-                                            opts.memo_key(layer, arch, kind),
-                                            work[i].1,
-                                            work[i].2,
-                                        );
-                                    }
-                                }
-                                Ok(LayerSearchResult {
-                                    layer: layer.name().to_owned(),
-                                    schedule,
-                                    factors: work[i].1,
-                                    dataflow: work[i].2,
-                                    score,
-                                    evaluated,
-                                    points,
-                                    stats,
-                                    outcome,
-                                })
+                            RunOutcome::Bounded => {
+                                evaluated += 1;
+                                stats.candidates_pruned += 1;
                             }
-                            // An admissible-looking injected seed that still
-                            // cut every candidate sat between the layer's
-                            // best bound and its true optimum — inadmissible
-                            // after the fact.
-                            None => match (first_err, opts.seed.inject) {
-                                (Some(e), _) => Err(e),
-                                (None, Some(inject)) if seed_enabled && end > start => {
-                                    let min_bound = bounds[start..end]
-                                        .iter()
-                                        .copied()
-                                        .fold(f64::INFINITY, f64::min);
-                                    Err(SchedError::InadmissibleSeed {
-                                        layer: layer.name().to_owned(),
-                                        seed_score_bits: inject.to_bits(),
-                                        bound_score_bits: min_bound.to_bits(),
-                                    })
+                            RunOutcome::EarlyExit => {
+                                evaluated += 1;
+                                stats.early_exits += 1;
+                            }
+                            RunOutcome::DeadlineCut => {
+                                cut += 1;
+                                if bounds_enabled {
+                                    cut_min_bound = cut_min_bound.min(bounds[i]);
                                 }
-                                _ => Err(SchedError::NoViableTiling {
-                                    layer: layer.name().to_owned(),
-                                }),
-                            },
+                            }
+                            RunOutcome::Failed(e) => first_err = first_err.or(Some(e)),
                         }
+                    }
+                    match best {
+                        Some((i, schedule, score)) => {
+                            let outcome = if cut == 0 {
+                                SearchOutcome::Exact
+                            } else if !bounds_enabled {
+                                // Unresolved candidates with no bounds:
+                                // nothing provable about the gap.
+                                SearchOutcome::Anytime { gap: f64::INFINITY }
+                            } else if cut_min_bound >= score {
+                                // Every unresolved candidate provably
+                                // cannot beat the result — but the
+                                // search was still not exhaustive, so
+                                // it is not cached as exact.
+                                SearchOutcome::Anytime { gap: 1.0 }
+                            } else {
+                                SearchOutcome::Anytime {
+                                    gap: score / cut_min_bound,
+                                }
+                            };
+                            if outcome.is_exact() {
+                                if let Some(c) = cache {
+                                    c.insert(
+                                        opts.memo_key(layer, arch, kind),
+                                        work[i].1,
+                                        work[i].2,
+                                    );
+                                }
+                            }
+                            Ok(LayerSearchResult {
+                                layer: layer.name().to_owned(),
+                                schedule,
+                                factors: work[i].1,
+                                dataflow: work[i].2,
+                                score,
+                                evaluated,
+                                points,
+                                stats,
+                                outcome,
+                            })
+                        }
+                        None => Err(first_err.unwrap_or_else(|| SchedError::NoViableTiling {
+                            layer: layer.name().to_owned(),
+                        })),
                     }
                 }
             };
@@ -1294,114 +1121,6 @@ pub fn search_layer(
     opts: &SearchOptions,
 ) -> Result<LayerSearchResult, SchedError> {
     Search::new(arch, opts).run_layer(layer)
-}
-
-/// The solver-only scheduling backend: rank every `(tiling, dataflow)`
-/// candidate with the `flexer-solve` closed-form model, fully evaluate
-/// only the top [`SeedOptions::top_k`], and return the best as a real,
-/// verifiable schedule in milliseconds.
-///
-/// The result carries a *provable* quality certificate:
-/// [`SearchOutcome::Exact`] when the winner meets the layer's best
-/// admissible lower bound, otherwise [`SearchOutcome::Anytime`] with
-/// `gap = score / best_lower_bound` (and
-/// [`SearchStats::seed_gap_ppm`] holding the same gap in parts per
-/// million). [`SearchStats::seed_nanos`] records the wall time of the
-/// whole call.
-///
-/// # Errors
-///
-/// As [`search_layer`].
-pub fn solve_layer(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-    opts: &SearchOptions,
-) -> Result<LayerSearchResult, SchedError> {
-    let start = Instant::now();
-    let model = SystolicModel::new(arch);
-    let tilings = enumerate_tilings(layer, arch, &opts.tiling);
-    let ranked = flexer_solve::rank_candidates_resident(
-        layer,
-        arch,
-        &model,
-        &tilings,
-        &opts.dataflows,
-        opts.metric,
-        opts.residency,
-    );
-    if ranked.is_empty() {
-        return Err(SchedError::NoViableTiling {
-            layer: layer.name().to_owned(),
-        });
-    }
-    let min_bound = ranked
-        .iter()
-        .map(|c| c.bound_score(opts.metric))
-        .fold(f64::INFINITY, f64::min);
-    let incumbent = Incumbent::new();
-    let k = opts.seed.top_k.max(1).min(ranked.len());
-    let mut best: Option<(TilingFactors, Dataflow, Schedule, f64)> = None;
-    let mut first_err: Option<SchedError> = None;
-    let mut evaluated = 0usize;
-    let mut stats = SearchStats::default();
-    for c in &ranked[..k] {
-        match run_one(
-            SchedulerKind::Ooo,
-            layer,
-            arch,
-            &model,
-            (c.factors, c.dataflow),
-            opts,
-            Some(Cutoff::new(&incumbent, opts.metric)),
-            &mut Lane::off(),
-        ) {
-            Ok((schedule, run_stats)) => {
-                evaluated += 1;
-                stats.merge(&run_stats);
-                let score = opts
-                    .metric
-                    .score(schedule.latency(), schedule.transfer_bytes());
-                incumbent.observe(score);
-                if best.as_ref().is_none_or(|(_, _, _, s)| score < *s) {
-                    best = Some((c.factors, c.dataflow, schedule, score));
-                }
-            }
-            Err(SchedError::Pruned) => {
-                evaluated += 1;
-                stats.early_exits += 1;
-            }
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    match best {
-        Some((factors, dataflow, schedule, score)) => {
-            stats.seed_nanos = start.elapsed().as_nanos() as u64;
-            stats.seed_gap_ppm = flexer_solve::gap_ppm(score, min_bound);
-            let outcome = if score <= min_bound {
-                SearchOutcome::Exact
-            } else if min_bound > 0.0 {
-                SearchOutcome::Anytime {
-                    gap: score / min_bound,
-                }
-            } else {
-                SearchOutcome::Anytime { gap: f64::INFINITY }
-            };
-            Ok(LayerSearchResult {
-                layer: layer.name().to_owned(),
-                schedule,
-                factors,
-                dataflow,
-                score,
-                evaluated,
-                points: Vec::new(),
-                stats,
-                outcome,
-            })
-        }
-        None => Err(first_err.unwrap_or(SchedError::NoViableTiling {
-            layer: layer.name().to_owned(),
-        })),
-    }
 }
 
 /// Explores every `(tiling, dataflow)` pair with both schedulers and
@@ -1924,136 +1643,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_search_matches_unseeded() {
-        // The seed pass only installs an incumbent; strict cutoffs keep
-        // winners byte-identical across schedulers, arches and thread
-        // counts.
-        for threads in [1, 4] {
-            let mut seeded = SearchOptions::quick();
-            seeded.threads = threads;
-            seeded.seed.enabled = true;
-            let mut plain = seeded.clone();
-            plain.seed.enabled = false;
-            for (l, ar) in [
-                (layer(), arch()),
-                (
-                    ConvLayer::new("v", 64, 28, 28, 48).unwrap(),
-                    ArchConfig::preset(ArchPreset::Arch5),
-                ),
-            ] {
-                let s = search_layer(&l, &ar, &seeded).unwrap();
-                let p = search_layer(&l, &ar, &plain).unwrap();
-                assert_eq!(s.factors, p.factors);
-                assert_eq!(s.dataflow, p.dataflow);
-                assert_eq!(s.score, p.score);
-                assert_eq!(s.schedule, p.schedule);
-                assert!(s.is_exact() && p.is_exact());
-                let ss = Search {
-                    kind: SchedulerKind::Static,
-                    ..Search::new(&ar, &seeded)
-                }
-                .run_layer(&l)
-                .unwrap();
-                let ps = Search {
-                    kind: SchedulerKind::Static,
-                    ..Search::new(&ar, &plain)
-                }
-                .run_layer(&l)
-                .unwrap();
-                assert_eq!(ss.factors, ps.factors);
-                assert_eq!(ss.score, ps.score);
-                assert_eq!(ss.schedule, ps.schedule);
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_search_runs_fewer_full_schedules() {
-        let mut plain = SearchOptions::quick();
-        plain.threads = 1;
-        let mut seeded = plain.clone();
-        seeded.seed.enabled = true;
-        let l = ConvLayer::new("v", 64, 28, 28, 48).unwrap();
-        let ar = ArchConfig::preset(ArchPreset::Arch5);
-        let p = search_layer(&l, &ar, &plain).unwrap();
-        let s = search_layer(&l, &ar, &seeded).unwrap();
-        // Full scheduler runs = evaluated − bound-pruned − early-exits.
-        let full = |r: &LayerSearchResult| {
-            r.evaluated as u64 - r.stats.candidates_pruned - r.stats.early_exits
-        };
-        assert!(
-            full(&s) <= full(&p),
-            "seeding must never schedule more candidates: {} vs {}",
-            full(&s),
-            full(&p)
-        );
-        // A single layer can tie exactly (score ties always run to
-        // completion in both modes); the *strict* network-level
-        // reduction is asserted by `bench_json --seed` in check.sh.
-        assert!(
-            s.stats.candidates_pruned + s.stats.early_exits
-                >= p.stats.candidates_pruned + p.stats.early_exits,
-            "the seeded incumbent should cut at least as much: {:?} vs {:?}",
-            s.stats,
-            p.stats
-        );
-        assert!(s.stats.seed_nanos > 0);
-        assert!(
-            s.stats.seeded_cutoffs > 0,
-            "the seed score alone should bound some candidates: {:?}",
-            s.stats
-        );
-        assert_eq!(p.stats.seeded_cutoffs, 0);
-        assert_eq!(p.stats.seed_nanos, 0);
-    }
-
-    #[test]
-    fn inadmissible_injected_seed_is_rejected_up_front() {
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        opts.seed.enabled = true;
-        opts.seed.inject = Some(0.0);
-        let err = search_layer(&layer(), &arch(), &opts).unwrap_err();
-        assert!(matches!(err, SchedError::InadmissibleSeed { .. }), "{err}");
-    }
-
-    #[test]
-    fn seed_between_bound_and_optimum_is_rejected_after_the_fact() {
-        // An injected score above every lower bound but below the true
-        // optimum passes the up-front check yet cuts every candidate;
-        // the reduction must still surface a typed error, not a bogus
-        // NoViableTiling (or worse, a silent non-optimum).
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        let best = search_layer(&layer(), &arch(), &opts).unwrap().score;
-        let model = SystolicModel::new(&arch());
-        let min_bound = enumerate_tilings(&layer(), &arch(), &opts.tiling)
-            .iter()
-            .map(|f| flexer_solve::lower_bound(&layer(), &arch(), &model, f).score(opts.metric))
-            .fold(f64::INFINITY, f64::min);
-        assert!(min_bound < best, "test needs a gap to sit inside");
-        opts.seed.enabled = true;
-        opts.seed.inject = Some((min_bound + best) / 2.0);
-        let err = search_layer(&layer(), &arch(), &opts).unwrap_err();
-        assert!(matches!(err, SchedError::InadmissibleSeed { .. }), "{err}");
-    }
-
-    #[test]
-    fn injecting_the_exact_optimum_is_winner_neutral() {
-        // Strict cutoffs: a seed tying the optimum still lets the
-        // optimum complete, so this is the tightest admissible seed.
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        let plain = search_layer(&layer(), &arch(), &opts).unwrap();
-        opts.seed.enabled = true;
-        opts.seed.inject = Some(plain.score);
-        let seeded = search_layer(&layer(), &arch(), &opts).unwrap();
-        assert_eq!(seeded.schedule, plain.schedule);
-        assert_eq!(seeded.score, plain.score);
-        assert!(seeded.stats.candidates_pruned + seeded.stats.early_exits > 0);
-    }
-
-    #[test]
     fn expired_deadline_returns_an_anytime_result() {
         for threads in [1, 4] {
             let mut opts = SearchOptions::quick();
@@ -2243,83 +1832,6 @@ mod tests {
             a.memo_key(&l, &ar, SchedulerKind::Ooo),
             b.memo_key(&l, &ar, SchedulerKind::Ooo)
         );
-    }
-
-    #[test]
-    fn seeded_resident_search_matches_unseeded() {
-        // Seeding stays winner-neutral under residency: the seed pass
-        // estimates with the same residency-aware byte math the exact
-        // search scores with.
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        opts.residency = Residency {
-            input_resident: true,
-            output_resident: false,
-        };
-        let plain = search_layer(&layer(), &arch(), &opts).unwrap();
-        opts.seed.enabled = true;
-        let seeded = search_layer(&layer(), &arch(), &opts).unwrap();
-        assert_eq!(seeded.schedule, plain.schedule);
-        assert_eq!(seeded.score, plain.score);
-    }
-
-    #[test]
-    fn seeded_and_deadline_search_seeds_before_cutting() {
-        // Even with an already-expired deadline, the seed pass ran its
-        // top-k first, so the anytime result is seed-quality rather
-        // than first-candidate quality.
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        opts.seed.enabled = true;
-        let r = Search {
-            deadline: Some(Instant::now()),
-            ..Search::new(&arch(), &opts)
-        }
-        .run_layer(&layer())
-        .unwrap();
-        assert!(r.schedule.latency() > 0);
-        assert!(r.stats.seed_nanos > 0);
-    }
-
-    #[test]
-    fn seed_is_not_part_of_the_memo_key() {
-        let a = SearchOptions::quick();
-        let mut b = SearchOptions::quick();
-        b.seed.enabled = true;
-        b.seed.top_k = 16;
-        let l = layer();
-        let ar = arch();
-        assert_eq!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            b.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
-    }
-
-    #[test]
-    fn solver_backend_returns_a_bounded_schedule() {
-        let mut opts = SearchOptions::quick();
-        opts.threads = 1;
-        let solved = solve_layer(&layer(), &arch(), &opts).unwrap();
-        let exact = search_layer(&layer(), &arch(), &opts).unwrap();
-        assert!(solved.evaluated <= opts.seed.top_k);
-        assert!(
-            solved.score >= exact.score,
-            "the solver cannot beat the proven optimum"
-        );
-        assert!(solved.stats.seed_nanos > 0);
-        match solved.outcome {
-            SearchOutcome::Exact => {
-                assert_eq!(solved.stats.seed_gap_ppm, 0);
-                assert_eq!(solved.score, exact.score);
-            }
-            SearchOutcome::Anytime { gap } => {
-                assert!(gap >= 1.0);
-                assert!(gap.is_finite());
-            }
-        }
-        // The solver's winner is a real schedule: verify it end to end.
-        let mut solved = solved;
-        verify_layer_result(&layer(), &arch(), &opts, SchedulerKind::Ooo, &mut solved).unwrap();
     }
 
     #[test]

@@ -66,17 +66,6 @@ pub struct SearchStats {
     /// Store entries rejected as torn/corrupt (checksum or decode
     /// failure) and treated as misses.
     pub store_corrupt: u64,
-    /// Wall-time (ns) spent running the analytical solver to seed the
-    /// incumbent before the exact search.
-    pub seed_nanos: u64,
-    /// Optimality gap of the solver's seed schedule against the best
-    /// lower bound, in parts per million (summed over seeded layers;
-    /// `0` means the seed was provably optimal).
-    pub seed_gap_ppm: u64,
-    /// Candidates skipped by a bound comparison that only cut because
-    /// the solver's seed was already better — pruning the exact search
-    /// would not have achieved cold.
-    pub seeded_cutoffs: u64,
 }
 
 /// What a [`SearchStats`] counter measures — used to format it and to
@@ -100,7 +89,7 @@ impl SearchStats {
     /// it here is a compile error, and [`SearchStats::merge`] plus the
     /// drift tests derive their field sets from this list.
     #[must_use]
-    pub fn fields(&self) -> [(&'static str, u64, StatKind); 24] {
+    pub fn fields(&self) -> [(&'static str, u64, StatKind); 21] {
         let Self {
             steps,
             sets_generated,
@@ -123,9 +112,6 @@ impl SearchStats {
             store_misses,
             store_evictions,
             store_corrupt,
-            seed_nanos,
-            seed_gap_ppm,
-            seeded_cutoffs,
         } = *self;
         [
             ("steps", steps, StatKind::Count),
@@ -149,9 +135,6 @@ impl SearchStats {
             ("store_misses", store_misses, StatKind::Count),
             ("store_evictions", store_evictions, StatKind::Count),
             ("store_corrupt", store_corrupt, StatKind::Count),
-            ("seed_nanos", seed_nanos, StatKind::Nanos),
-            ("seed_gap_ppm", seed_gap_ppm, StatKind::Count),
-            ("seeded_cutoffs", seeded_cutoffs, StatKind::Count),
         ]
     }
 
@@ -192,9 +175,6 @@ impl SearchStats {
             store_misses,
             store_evictions,
             store_corrupt,
-            seed_nanos,
-            seed_gap_ppm,
-            seeded_cutoffs,
         } = *other;
         self.steps += steps;
         self.sets_generated += sets_generated;
@@ -217,9 +197,6 @@ impl SearchStats {
         self.store_misses += store_misses;
         self.store_evictions += store_evictions;
         self.store_corrupt += store_corrupt;
-        self.seed_nanos += seed_nanos;
-        self.seed_gap_ppm += seed_gap_ppm;
-        self.seeded_cutoffs += seeded_cutoffs;
     }
 
     /// Emits every counter into a trace lane as a gauge sample. Under
@@ -246,9 +223,8 @@ impl std::fmt::Display for SearchStats {
              (clone avoided {} B) | evict {} compact {} | verified {} | \
              bound {} pruned {} early-exit {} | \
              store hit {} miss {} evict {} corrupt {} | \
-             seed gap {} ppm cutoffs {} | \
              gen {:.2} ms eval {:.2} ms commit {:.2} ms verify {:.2} ms \
-             bound {:.2} ms seed {:.2} ms",
+             bound {:.2} ms",
             self.steps,
             self.sets_generated,
             self.sets_pruned,
@@ -265,14 +241,11 @@ impl std::fmt::Display for SearchStats {
             self.store_misses,
             self.store_evictions,
             self.store_corrupt,
-            self.seed_gap_ppm,
-            self.seeded_cutoffs,
             self.gen_nanos as f64 / 1e6,
             self.eval_nanos as f64 / 1e6,
             self.commit_nanos as f64 / 1e6,
             self.verify_nanos as f64 / 1e6,
             self.bound_nanos as f64 / 1e6,
-            self.seed_nanos as f64 / 1e6,
         )
     }
 }
@@ -306,12 +279,9 @@ mod tests {
             store_misses: 19,
             store_evictions: 20,
             store_corrupt: 21,
-            seed_nanos: 22,
-            seed_gap_ppm: 23,
-            seeded_cutoffs: 24,
         };
         // Guard the literal above against field additions.
-        assert_eq!(s.fields().len(), 24);
+        assert_eq!(s.fields().len(), 21);
         for (i, (name, value, _)) in s.fields().into_iter().enumerate() {
             assert_eq!(value, i as u64 + 1, "field {name} not sequential");
         }
@@ -343,15 +313,12 @@ mod tests {
     fn deterministic_fields_exclude_wall_time() {
         let s = sequential();
         let det = s.deterministic_fields();
-        assert_eq!(det.len(), 18);
+        assert_eq!(det.len(), 16);
         assert!(det.iter().all(|(name, _)| !name.ends_with("_nanos")));
         assert!(det.iter().any(|&(name, v)| name == "steps" && v == 1));
         assert!(det
             .iter()
-            .any(|&(name, v)| name == "seed_gap_ppm" && v == 23));
-        assert!(det
-            .iter()
-            .any(|&(name, v)| name == "seeded_cutoffs" && v == 24));
+            .any(|&(name, v)| name == "store_corrupt" && v == 21));
     }
 
     #[test]
@@ -381,27 +348,6 @@ mod tests {
         assert!(s.contains("rollback"));
         assert!(s.contains("evict"));
         assert!(s.contains("eval"));
-        assert!(s.contains("seed gap"));
-        assert!(s.contains("cutoffs"));
-    }
-
-    #[test]
-    fn seed_counters_ride_the_field_registry() {
-        let s = sequential();
-        let names: Vec<&str> = s.fields().iter().map(|(n, _, _)| *n).collect();
-        assert_eq!(
-            &names[21..],
-            &["seed_nanos", "seed_gap_ppm", "seeded_cutoffs"]
-        );
-        let mut doubled = s;
-        doubled.merge(&s);
-        assert_eq!(doubled.seed_nanos, 44);
-        assert_eq!(doubled.seed_gap_ppm, 46);
-        assert_eq!(doubled.seeded_cutoffs, 48);
-        // seed_nanos is wall time: excluded from deterministic exports.
-        assert!(s
-            .deterministic_fields()
-            .iter()
-            .all(|(name, _)| *name != "seed_nanos"));
+        assert!(s.contains("store hit"));
     }
 }

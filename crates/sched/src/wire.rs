@@ -8,8 +8,8 @@
 //!   *shape* (not its name), the architecture, the scheduler kind and
 //!   every winner-relevant search knob. `flexer-store` hashes these
 //!   bytes into its content address, so two searches share a store
-//!   entry iff they would share a memo entry. `validate`, `prune`,
-//!   `trace` and `seed` are deliberately absent — they never change a
+//!   entry iff they would share a memo entry. `validate`, `prune`
+//!   and `threads` are deliberately absent — they never change a
 //!   winner.
 //! * [`encode_layer_result`] / [`decode_layer_result`] — a complete
 //!   [`LayerSearchResult`] round trip, bit-exact including `f64`
@@ -80,9 +80,15 @@ pub fn decode_factors(r: &mut WireReader<'_>) -> Result<TilingFactors, WireError
     Ok(TilingFactors::from_raw(k, c, h, w))
 }
 
-/// Encodes a [`SearchStats`]. The exhaustive destructuring keeps the
-/// codec in lock-step with the struct: a new field fails to compile
-/// here (and in [`decode_stats`]) until it is wired in.
+/// Trailing `u64` slots of the stats encoding that once held the
+/// retired solver-seeding counters. Format version 4 keeps them so
+/// existing entries stay readable; they are written as zeros.
+const RETIRED_STATS: usize = 3;
+
+/// Encodes a [`SearchStats`], followed by three zero slots where the
+/// retired seeding counters were. The exhaustive destructuring keeps
+/// the codec in lock-step with the struct: a new field fails to
+/// compile here (and in [`decode_stats`]) until it is wired in.
 pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
     let SearchStats {
         steps,
@@ -106,9 +112,6 @@ pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
         store_misses,
         store_evictions,
         store_corrupt,
-        seed_nanos,
-        seed_gap_ppm,
-        seeded_cutoffs,
     } = *s;
     for v in [
         steps,
@@ -132,21 +135,21 @@ pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
         store_misses,
         store_evictions,
         store_corrupt,
-        seed_nanos,
-        seed_gap_ppm,
-        seeded_cutoffs,
     ] {
         w.u64(v);
     }
+    for _ in 0..RETIRED_STATS {
+        w.u64(0);
+    }
 }
 
-/// Decodes a [`SearchStats`].
+/// Decodes a [`SearchStats`], discarding the three retired slots.
 ///
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_stats(r: &mut WireReader<'_>) -> Result<SearchStats, WireError> {
-    Ok(SearchStats {
+    let stats = SearchStats {
         steps: r.u64()?,
         sets_generated: r.u64()?,
         sets_pruned: r.u64()?,
@@ -168,10 +171,13 @@ pub fn decode_stats(r: &mut WireReader<'_>) -> Result<SearchStats, WireError> {
         store_misses: r.u64()?,
         store_evictions: r.u64()?,
         store_corrupt: r.u64()?,
-        seed_nanos: r.u64()?,
-        seed_gap_ppm: r.u64()?,
-        seeded_cutoffs: r.u64()?,
-    })
+    };
+    // Skipped, not rejected: existing stores and fleet replicas stay
+    // warm, and the pinned fingerprints stay valid.
+    for _ in 0..RETIRED_STATS {
+        r.u64()?;
+    }
+    Ok(stats)
 }
 
 fn encode_point(w: &mut WireWriter, p: &SchedulePoint) {
@@ -408,7 +414,7 @@ mod tests {
         let mut w = WireWriter::new();
         encode_stats(&mut w, &s);
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 8 * s.fields().len());
+        assert_eq!(bytes.len(), 8 * (s.fields().len() + RETIRED_STATS));
         let mut r = WireReader::new(&bytes);
         let back = decode_stats(&mut r).unwrap();
         r.finish().unwrap();
@@ -492,15 +498,12 @@ mod tests {
             base_bytes
         );
 
-        // validate / prune / trace / threads / seed are
-        // winner-neutral.
+        // validate / prune / threads are winner-neutral.
         let mut neutral = base.clone();
         neutral.validate = true;
         neutral.prune = false;
         neutral.threads = 7;
         neutral.collect_points = false;
-        neutral.seed.enabled = true;
-        neutral.seed.top_k = 9;
         assert_eq!(
             canonical_key_bytes(&l, &ar, &neutral, SchedulerKind::Ooo),
             base_bytes

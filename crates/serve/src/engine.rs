@@ -41,7 +41,8 @@ impl Deadline {
     ///
     /// - `Some(0)` is *already expired* — exact-mode requests fail with
     ///   the typed `deadline` error, anytime-mode requests return every
-    ///   layer's seeded best-so-far.
+    ///   layer's best-so-far (each layer always runs its first
+    ///   candidate).
     /// - `None` with `default_ms == 0` is unbounded.
     /// - Absurdly large values (≥ [`Self::UNBOUNDED_THRESHOLD_MS`],
     ///   up to and including `u64::MAX`) saturate to unbounded instead

@@ -76,7 +76,8 @@
 //! - `"deadline_ms": 0` means **already expired** — it does *not* mean
 //!   "use the server default" or "unbounded". Exact mode answers the
 //!   typed `deadline` error; anytime mode answers `"partial": true`
-//!   with every layer's seeded best-so-far schedule and gap.
+//!   with every layer's best-so-far schedule and gap (each layer
+//!   always runs its first candidate).
 //! - Omitting `"deadline_ms"` uses the server's default deadline
 //!   (`--deadline-ms`), where a default of `0` means unbounded.
 //! - Absurdly large values — a century or more out, up to and

@@ -109,6 +109,15 @@ fn masked(line: &str) -> String {
     s
 }
 
+/// Store entries (`.fxs` files) persisted so far.
+fn entries(store: &Path) -> usize {
+    std::fs::read_dir(store).map_or(0, |dir| {
+        dir.flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "fxs"))
+            .count()
+    })
+}
+
 const REQUESTS: [&str; 3] = [
     r#"{"op":"schedule","id":"r1","layers":[{"name":"a","in_channels":16,"height":14,"width":14,"out_channels":16}]}"#,
     r#"{"op":"schedule","id":"r2","layers":[{"name":"b","in_channels":32,"height":14,"width":14,"out_channels":32}]}"#,
@@ -142,11 +151,19 @@ fn killed_daemon_restarts_warm_and_answers_byte_identically() {
     // Hard-kill mid-request: a long schedule is in flight when the
     // process dies. Nothing about this may corrupt the store the next
     // generation warm-starts from (entries land via atomic
-    // tmp+fsync+rename; a torn tmp is reaped on reopen).
+    // tmp+fsync+rename; a torn tmp is reaped on reopen). ResNet-50
+    // under the default options takes about 4 s in a release build on
+    // a 2-core host and persists its first layer within ~20 ms, so
+    // killing on that first new entry lands seconds before the reply.
+    let cold_entries = entries(&store);
     let mut busy = Client::connect(daemon.addr).unwrap();
-    busy.send(r#"{"op":"schedule","network":"squeezenet","id":"doomed"}"#)
+    busy.send(r#"{"op":"schedule","network":"resnet50","options":"default","id":"doomed"}"#)
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while entries(&store) == cold_entries {
+        assert!(Instant::now() < give_up, "doomed request never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     drop(daemon); // kill(), no drain
 
     // Whatever the half-dead socket yields, it must not be a completed

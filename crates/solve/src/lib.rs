@@ -1,27 +1,16 @@
-//! Analytical scheduling solver: millisecond-scale candidate ranking
-//! with provable quality gaps, no SPM simulation required.
+//! Admissible scheduling bounds, no SPM simulation required.
 //!
 //! The exact search in `flexer-sched` evaluates every (tiling,
 //! dataflow) candidate by actually running a scheduler — building the
-//! DFG, simulating the shared buffer, committing operation sets. That
-//! is the ground truth, but it is also why a cold search spends
-//! hundreds of full evaluations before its branch-and-bound cutoff
-//! becomes useful. This crate provides the cheap half of the
-//! CoSA/KAPLA recipe (see PAPERS.md): score every candidate with
-//!
-//! * the existing admissible [`ScheduleBound`] (a floor no schedule
-//!   can beat), and
-//! * a closed-form contention/occupancy [`Estimate`] (a realistic
-//!   prediction of what a schedule will actually cost),
-//!
-//! then rank candidates by the estimate ([`rank_candidates`]) so a
-//! caller can fully evaluate only the top-k. The best evaluated
-//! schedule comes with a provable optimality gap: its true score
-//! divided by the minimum lower-bound score over *all* candidates
-//! ([`gap_ppm`]).
+//! DFG, simulating the shared buffer, committing operation sets. This
+//! crate supplies the closed-form floor that search prunes against:
+//! an admissible [`ScheduleBound`] per (layer, tiling) pair that no
+//! legal schedule can beat, scored by the same ranking [`Metric`] as
+//! the schedules themselves. Branch-and-bound pruning and the anytime
+//! optimality gap both rest on it.
 //!
 //! Everything here is arithmetic over the layer's tile geometry —
-//! no DFG, no scheduler, no simulation — so scoring thousands of
+//! no DFG, no scheduler, no simulation — so bounding thousands of
 //! candidates costs microseconds, not seconds.
 
 #![forbid(unsafe_code)]
@@ -29,11 +18,6 @@
 
 mod bound;
 mod metric;
-mod model;
 
 pub use bound::{lower_bound, lower_bound_resident, ScheduleBound};
 pub use metric::Metric;
-pub use model::{
-    estimate, estimate_resident, gap_ppm, rank_candidates, rank_candidates_resident, Candidate,
-    Estimate,
-};

@@ -709,6 +709,49 @@ mod tests {
     }
 
     #[test]
+    fn entries_with_retired_seed_counters_still_hit() {
+        // Entries written before solver seeding was removed carry its
+        // three counters in the stats' trailing slots. They must still
+        // hit with the same winner, locally and through a peer push.
+        let dir = scratch_dir("retired");
+        let store = ScheduleStore::open(&dir).unwrap();
+        let fp = fingerprint_of_key_bytes(b"k1");
+        let result = sample_result();
+        assert!(result.is_exact());
+        store.put(fp, &result).unwrap();
+        let path = store.entry_path(fp);
+        let fresh = fs::read(&path).unwrap();
+        // The payload ends with the three slots, then the one-byte
+        // exact outcome tag.
+        assert_eq!(fresh.last(), Some(&0));
+        let slots = fresh.len() - 25..fresh.len() - 1;
+        assert!(fresh[slots.clone()].iter().all(|&b| b == 0));
+        let mut seeded = fresh.clone();
+        for (i, slot) in seeded[slots].chunks_mut(8).enumerate() {
+            slot.copy_from_slice(&(1000 + i as u64).to_le_bytes());
+        }
+        let checksum = fnv1a_64(&seeded[HEADER_LEN..]);
+        seeded[16..24].copy_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &seeded).unwrap();
+
+        let Lookup::Hit(warm) = store.get(fp) else {
+            panic!("an entry with seed counters must still hit");
+        };
+        assert_eq!(warm.schedule, result.schedule);
+        assert_eq!(
+            encode_layer_result(&warm),
+            fresh[HEADER_LEN..],
+            "a fresh encoding writes zeros in the retired slots"
+        );
+        let peer_dir = scratch_dir("retired-peer");
+        let peer = ScheduleStore::open(&peer_dir).unwrap();
+        assert_eq!(peer.ingest(fp, &seeded).unwrap(), Ingest::Stored);
+        assert_eq!(peer.export(fp).unwrap(), Some(fresh));
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&peer_dir).unwrap();
+    }
+
+    #[test]
     fn lru_eviction_bounds_size_and_keeps_recent() {
         let dir = scratch_dir("lru");
         let result = sample_result();

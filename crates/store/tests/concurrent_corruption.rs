@@ -70,7 +70,6 @@ fn masked(r: &LayerSearchResult) -> Vec<u8> {
     r.stats.commit_nanos = 0;
     r.stats.verify_nanos = 0;
     r.stats.bound_nanos = 0;
-    r.stats.seed_nanos = 0;
     r.stats.store_hits = 0;
     r.stats.store_misses = 0;
     r.stats.store_evictions = 0;

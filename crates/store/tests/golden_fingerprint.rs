@@ -125,8 +125,6 @@ fn winner_neutral_options_do_not_move_the_address() {
     opts.validate = true;
     opts.prune = false;
     opts.threads = 3;
-    opts.seed.enabled = true;
-    opts.seed.top_k = 11;
     assert_eq!(fingerprint(&layer, &arch, &opts, SchedulerKind::Ooo), base);
 }
 

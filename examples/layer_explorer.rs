@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (ooo, baseline) = sweep_tilings(&layer, &arch, &opts)?;
 
     // The solver's admissible per-tiling lower bound — the same
-    // quantity the seeded search ranks candidates by and the anytime
-    // search proves its optimality gap against.
+    // quantity the search prunes against and the anytime search
+    // proves its optimality gap against.
     let perf = SystolicModel::new(&arch);
     println!(
         "# {:<18} {:<22} {:>12} {:>14} {:>12} {:>14} {:>8} {:>8} {:>12} {:>6}",

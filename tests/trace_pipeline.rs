@@ -14,7 +14,6 @@ fn golden_opts() -> SearchOptions {
     opts.threads = 1;
     opts.dataflows = vec![Dataflow::Csk];
     opts.tiling.max_tilings = 2;
-    opts.seed.enabled = true;
     opts
 }
 
@@ -27,32 +26,29 @@ fn golden_layer() -> ConvLayer {
 /// or counter placement shows up here as a byte diff.
 const GOLDEN_TREE: &str = "\
 lane 0 \"search\"
-  #0 search [0 +25] scheduler=ooo layers=1 prune=true
+  #0 search [0 +21] scheduler=ooo layers=1 prune=true
     #1 bound [1 +1] layer=g candidates=2
-    #2 seed [3 +1] layer=g outcome=evaluated evaluated=2 score=1584000.0 gap_ppm=546875
-    #3 layer [5 +19] name=g role=leader outcome=ok evaluated=2 score=1584000.0 latency=990 transfer_bytes=1600
-      steps=1 @6
-      sets_generated=1 @7
-      sets_pruned=0 @8
-      sets_evaluated=1 @9
-      rollback_bytes=336 @10
-      clone_bytes_avoided=40 @11
-      evictions=0 @12
-      compactions=0 @13
-      schedules_verified=0 @14
-      candidates_bounded=2 @15
-      candidates_pruned=1 @16
-      early_exits=0 @17
-      store_hits=0 @18
-      store_misses=0 @19
-      store_evictions=0 @20
-      store_corrupt=0 @21
-      seed_gap_ppm=546875 @22
-      seeded_cutoffs=1 @23
+    #2 layer [3 +17] name=g role=leader outcome=ok evaluated=2 score=1584000.0 latency=990 transfer_bytes=1600
+      steps=1 @4
+      sets_generated=1 @5
+      sets_pruned=0 @6
+      sets_evaluated=1 @7
+      rollback_bytes=336 @8
+      clone_bytes_avoided=40 @9
+      evictions=0 @10
+      compactions=0 @11
+      schedules_verified=0 @12
+      candidates_bounded=2 @13
+      candidates_pruned=1 @14
+      early_exits=0 @15
+      store_hits=0 @16
+      store_misses=0 @17
+      store_evictions=0 @18
+      store_corrupt=0 @19
 lane 1 \"g/0\"
-  #4 candidate [0 +1] layer=g tiling=k1\u{b7}c2\u{b7}1x1 dataflow=Csk outcome=bounded bound=2048000.0
+  #3 candidate [0 +1] layer=g tiling=k1\u{b7}c2\u{b7}1x1 dataflow=Csk outcome=bounded bound=2048000.0
 lane 2 \"g/1\"
-  #5 candidate [0 +1] layer=g tiling=k1\u{b7}c1\u{b7}1x1 dataflow=Csk outcome=scheduled latency=990 transfer_bytes=1600 score=1584000.0
+  #4 candidate [0 +1] layer=g tiling=k1\u{b7}c1\u{b7}1x1 dataflow=Csk outcome=scheduled latency=990 transfer_bytes=1600 score=1584000.0
 ";
 
 #[test]
