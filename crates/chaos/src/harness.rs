@@ -595,10 +595,13 @@ pub(crate) fn mask_provenance(line: &str) -> String {
     flexer_serve::mask_provenance(line)
 }
 
-/// Writes `line` + newline to a raw stream (scenario clients that
-/// bypass [`flexer_serve::client::Client`] for byte-level control).
+/// Writes `line` + newline to a raw stream in one write (scenario
+/// clients that bypass [`flexer_serve::client::Client`] for byte-level
+/// control).
 pub(crate) fn send_raw(stream: &mut std::net::TcpStream, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    stream.write_all(&frame)?;
     stream.flush()
 }

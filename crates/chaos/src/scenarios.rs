@@ -377,6 +377,9 @@ pub(crate) fn slowloris(cfg: &ChaosConfig, scratch: &Path, mut rng: SplitMix64) 
             let Ok(mut stream) = TcpStream::connect(addr) else {
                 return;
             };
+            // Without it Nagle coalesces the one-byte writes, and the
+            // server sees fewer, larger reads than this case claims.
+            let _ = stream.set_nodelay(true);
             for _ in 0..2000 {
                 if stop.load(Ordering::Relaxed) {
                     break;
@@ -406,6 +409,9 @@ pub(crate) fn slowloris(cfg: &ChaosConfig, scratch: &Path, mut rng: SplitMix64) 
 fn dribble_request(addr: SocketAddr, line: &str, rng: &mut SplitMix64) -> Result<String, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set nodelay: {e}"))?;
+    stream
         .set_read_timeout(Some(LIVENESS))
         .map_err(|e| format!("set timeout: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
@@ -434,6 +440,9 @@ fn dribble_request(addr: SocketAddr, line: &str, rng: &mut SplitMix64) -> Result
 /// Sends a line just over `MAX_LINE_BYTES` and reads the reply.
 fn oversized_line(addr: SocketAddr) -> Result<String, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set nodelay: {e}"))?;
     stream
         .set_read_timeout(Some(LIVENESS))
         .map_err(|e| format!("set timeout: {e}"))?;

@@ -27,12 +27,16 @@ impl Client {
         Self::from_stream(stream)
     }
 
-    /// Wraps an already connected stream.
+    /// Wraps an already connected stream and disables Nagle's
+    /// algorithm on it: a request is one small write followed by a
+    /// wait for the reply, the pattern that otherwise stalls on the
+    /// peer's delayed ACK.
     ///
     /// # Errors
     ///
-    /// Propagates the `try_clone` failure.
+    /// Propagates the `set_nodelay` and `try_clone` failures.
     pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self {
             writer,
@@ -51,14 +55,17 @@ impl Client {
         self.recv()
     }
 
-    /// Sends one request line without waiting.
+    /// Sends one request line without waiting. The line and its `\n`
+    /// go out in one write.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)?;
         self.writer.flush()
     }
 

@@ -350,6 +350,9 @@ fn write_line(stream: &mut TcpStream, mut line: String) -> io::Result<()> {
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
+    // Responses are written whole, but one larger than a segment would
+    // otherwise hold its tail back until the client ACKs the head.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let Ok(mut writer) = stream.try_clone() else {
@@ -514,6 +517,7 @@ fn initiate_shutdown(shared: &Shared) {
 /// Propagates connection and write failures.
 pub fn request_shutdown(addr: SocketAddr) -> io::Result<()> {
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+    stream.set_nodelay(true)?;
     stream.write_all(b"{\"op\":\"shutdown\"}\n")?;
     let mut sink = [0u8; 256];
     let _ = stream.read(&mut sink);

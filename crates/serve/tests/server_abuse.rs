@@ -168,6 +168,31 @@ fn malformed_json_keeps_the_connection_usable() {
 }
 
 #[test]
+fn deeply_nested_line_is_a_typed_parse_error_not_an_abort() {
+    // 200k nested arrays in a line well under the length cap. Parsed by
+    // unbounded recursion, this overflowed the worker's stack, and a
+    // stack overflow aborts the whole daemon: no panic guard sees it.
+    let (addr, handle) = boot(ServerConfig::default());
+    let depth = 200_000;
+    let deep = format!(
+        r#"{{"op":"health","id":"deep","pad":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    assert!(deep.len() < flexer_serve::MAX_LINE_BYTES);
+    let mut c = Client::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let reply = c.roundtrip(&deep).unwrap();
+    assert!(reply.contains("nesting"), "{reply}");
+    assert_error(&reply, "parse");
+    drop(c);
+    // The daemon survived: a fresh connection is answered.
+    let mut fresh = Client::connect(addr).unwrap();
+    assert_ok(&fresh.roundtrip(r#"{"op":"health"}"#).unwrap());
+    shutdown_and_join(addr, handle);
+}
+
+#[test]
 fn expired_deadline_is_reported_not_hung() {
     let (addr, handle) = boot(ServerConfig::default());
     let mut c = Client::connect(addr).unwrap();
