@@ -392,9 +392,16 @@ impl ScheduleStore {
         file_bytes.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
         file_bytes.extend_from_slice(&payload);
 
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{}-{}", fp.hex(), std::process::id()));
+        // A per-process sequence keeps concurrent puts of one
+        // fingerprint (two threads, or two handles) off each other's
+        // temp file.
+        static PUT_SEQ: AtomicU64 = AtomicU64::new(0);
+        let tmp = self.dir.join(format!(
+            ".tmp-{}-{}-{}",
+            fp.hex(),
+            std::process::id(),
+            PUT_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&file_bytes)?;

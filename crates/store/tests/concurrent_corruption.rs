@@ -476,3 +476,68 @@ fn fingerprint_is_stable_across_handles() {
     assert_eq!(fp1, fp2);
     assert_eq!(fp1.hex(), fp2.hex());
 }
+
+/// Two `put`s of one fingerprint at once on one handle — a peer's
+/// `store_push` racing a local cold search of the same layer — must
+/// both succeed and leave a servable entry. Each writer needs its own
+/// temp file: with one shared temp name, the second rename finds the
+/// file already moved away and the `put` fails with `NotFound`.
+#[test]
+fn concurrent_puts_of_one_fingerprint_all_succeed() {
+    const ROUNDS: usize = 200;
+    let dir = Scratch::new("put-race");
+    let (_, _, _, result) = canonical();
+    // The same winner with different effort stats, as two independent
+    // searches of one layer produce.
+    let mut rerun = result.clone();
+    rerun.stats.eval_nanos += 1;
+    rerun.stats.gen_nanos += 1;
+    let fp_of = |round: usize| {
+        flexer_store::fingerprint_of_key_bytes(format!("put-race-{round}").as_bytes())
+    };
+
+    let store = Arc::new(ScheduleStore::open(&dir.0).unwrap());
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    // Each thread reports per round instead of panicking, so a failure
+    // cannot strand its partner at the barrier.
+    let putters: Vec<_> = [result.clone(), rerun]
+        .into_iter()
+        .map(|r| {
+            let store = Arc::clone(&store);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                (0..ROUNDS)
+                    .map(|round| {
+                        barrier.wait();
+                        let put = store.put(fp_of(round), &r).map_err(|e| e.to_string());
+                        barrier.wait();
+                        let hit = match store.get(fp_of(round)) {
+                            Lookup::Hit(hit) => Some(masked(&hit)),
+                            Lookup::Miss | Lookup::Corrupt(_) => None,
+                        };
+                        (put, hit)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let canonical_bytes = masked(&result);
+    for t in putters {
+        for (round, (put, hit)) in t.join().expect("putter panicked").into_iter().enumerate() {
+            assert!(put.is_ok(), "round {round}: concurrent put failed: {put:?}");
+            assert_eq!(
+                hit.as_ref(),
+                Some(&canonical_bytes),
+                "round {round}: the entry must be a hit after both puts"
+            );
+        }
+    }
+    assert_eq!(store.len().unwrap(), ROUNDS);
+    let litter: Vec<String> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(".tmp-"))
+        .collect();
+    assert!(litter.is_empty(), "temp litter left behind: {litter:?}");
+}

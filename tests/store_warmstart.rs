@@ -271,6 +271,108 @@ fn replicated_store_warm_starts_node_b_without_search() {
     assert_eq!(counters.corrupt, 0);
 }
 
+/// A repeated-shape network through the store: squeezenet at ÷4 on a
+/// cold store, then a fresh driver over it. The warm pass answers every
+/// layer from the store with zero searches, returns the cold winners
+/// byte for byte, and beats the cold pass on wall time (by about 100x).
+#[test]
+fn squeezenet_warm_pass_hits_every_layer_and_beats_cold() {
+    let dir = Scratch::new("squeezenet");
+    let net = scale_spatial(&networks::by_name("squeezenet").unwrap(), 4);
+    let timed = |d: Flexer| {
+        let t = std::time::Instant::now();
+        let r = d.schedule_network(&net).unwrap();
+        (t.elapsed(), r)
+    };
+    let (cold_time, cold) = timed(driver(&dir));
+    let (warm_time, warm) = timed(driver(&dir));
+
+    let layers = net.layers().len() as u64;
+    assert_eq!(cold.total_stats().store_hits, 0, "a fresh store is cold");
+    let stats = warm.total_stats();
+    assert_eq!(stats.store_hits, layers, "warm pass must hit every layer");
+    assert_eq!(stats.store_misses, 0, "warm pass must not search");
+    for (c, w) in cold.layers().iter().zip(warm.layers()) {
+        assert_eq!(
+            winner_bytes(c),
+            winner_bytes(w),
+            "{}: warm winner must be byte-identical to cold",
+            c.layer
+        );
+    }
+    assert!(
+        warm_time < cold_time,
+        "warm pass ({warm_time:?}) must beat the cold search ({cold_time:?})"
+    );
+}
+
+/// Every net of the diverse zoo (matmul, depthwise and branching
+/// layers) on Arch1, Arch5 and hetero1 with differential verification
+/// on: the cold run verifies, a fresh driver answers every layer from
+/// the store with winner-identical bytes, and the branching net
+/// declines residency without changing a schedule.
+#[test]
+fn diverse_zoo_verifies_and_warm_starts_on_every_arch() {
+    let archs = [
+        ("arch1", ArchConfig::preset(ArchPreset::Arch1)),
+        ("arch5", ArchConfig::preset(ArchPreset::Arch5)),
+        ("hetero1", ArchConfig::hetero1()),
+    ];
+    let mut declined = 0;
+    for net in networks::diverse() {
+        for (arch_name, arch) in &archs {
+            let dir = Scratch::new("zoo");
+            let driver = || {
+                let mut opts = SearchOptions::quick();
+                opts.validate = true;
+                Flexer::new(arch.clone())
+                    .with_options(opts)
+                    .with_store(&dir.0)
+                    .unwrap()
+            };
+            let name = format!("{} on {arch_name}", net.name());
+            let cold = driver().schedule_network(&net).unwrap();
+            assert!(cold.verified(), "{name}: cold run unverified");
+
+            let warm = driver().schedule_network(&net).unwrap();
+            let stats = warm.total_stats();
+            assert_eq!(
+                stats.store_hits,
+                net.layers().len() as u64,
+                "{name}: warm pass must answer every layer from the store"
+            );
+            assert_eq!(stats.store_misses, 0, "{name}: warm pass must not search");
+            for (c, w) in cold.layers().iter().zip(warm.layers()) {
+                assert_eq!(
+                    winner_bytes(c),
+                    winner_bytes(w),
+                    "{name}/{}: warm winner must be byte-identical to cold",
+                    c.layer
+                );
+            }
+
+            if !net.is_chain() {
+                let r = driver().schedule_network_resident(&net).unwrap();
+                assert_eq!(
+                    r.plan.resident_edges(),
+                    0,
+                    "{name}: a branching net must decline residency"
+                );
+                assert_eq!(r.plan.peak_reserved(), 0, "{name}");
+                for (a, b) in r.result.layers().iter().zip(warm.layers()) {
+                    assert_eq!(
+                        a.schedule, b.schedule,
+                        "{name}/{}: declined residency must stay byte-identical",
+                        a.layer
+                    );
+                }
+                declined += 1;
+            }
+        }
+    }
+    assert!(declined > 0, "the zoo has a branching net");
+}
+
 #[test]
 fn corrupt_entry_is_researched_and_repaired_transparently() {
     let dir = Scratch::new("repair");
