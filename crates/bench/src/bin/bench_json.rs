@@ -32,6 +32,7 @@ use flexer::trace::Lane;
 use flexer_serve::Obj;
 use std::fmt::Debug;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Wall-clock samples of one benchmark, in nanoseconds.
@@ -311,8 +312,9 @@ fn bench_store(iters: usize) {
     let [cold, warm] = store_passes(iters, &scratch, &net, |dir| {
         Flexer::new(ArchConfig::preset(ArchPreset::Arch1))
             .with_options(SearchOptions::quick())
-            .with_store(dir)
-            .expect("open schedule store")
+            .with_store(Arc::new(
+                ScheduleStore::open(dir).expect("open schedule store"),
+            ))
     });
     let rows = [("network_store_first", cold), ("network_store_warm", warm)]
         .into_iter()
@@ -391,8 +393,7 @@ fn bench_zoo(iters: usize) {
                 opts.validate = true;
                 Flexer::new(arch.clone())
                     .with_options(opts)
-                    .with_store(dir)
-                    .expect("open zoo store")
+                    .with_store(Arc::new(ScheduleStore::open(dir).expect("open zoo store")))
             });
             for (bench, (samples, r)) in ["zoo_cold", "zoo_warm"].into_iter().zip(passes) {
                 let (hits, misses) = store_traffic(&r);

@@ -5,23 +5,35 @@
 use flexer_chaos::{run_chaos, ChaosConfig, Profile, Scenario};
 use std::path::PathBuf;
 
-fn smoke_config(seed: u64, tag: &str) -> ChaosConfig {
+/// Removes a smoke run's scratch directory (artifacts included) on
+/// drop, so a failing assert cleans up too.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn smoke_config(seed: u64, tag: &str) -> (ChaosConfig, Scratch) {
     let scratch = std::env::temp_dir().join(format!("chaos-smoke-{tag}-{}", std::process::id()));
-    ChaosConfig {
+    let cfg = ChaosConfig {
         seed,
         profile: Profile::Short,
         scratch_dir: scratch.clone(),
-        artifact_dir: scratch,
+        artifact_dir: scratch.clone(),
         serve_bin: None,
         scenarios: Scenario::all(),
         slo: Default::default(),
         connections: 6,
-    }
+    };
+    (cfg, Scratch(scratch))
 }
 
 #[test]
 fn full_matrix_is_clean_and_deterministic() {
-    let first = run_chaos(&smoke_config(0xC0FFEE, "a"));
+    let (cfg, _scratch) = smoke_config(0xC0FFEE, "a");
+    let first = run_chaos(&cfg);
     assert!(
         first.clean(),
         "chaos run caught violations: {:#?}",
@@ -36,7 +48,8 @@ fn full_matrix_is_clean_and_deterministic() {
 
     // Same seed, same schedule of abuse: the op count and the traced
     // span population must replay exactly.
-    let second = run_chaos(&smoke_config(0xC0FFEE, "b"));
+    let (cfg, _scratch) = smoke_config(0xC0FFEE, "b");
+    let second = run_chaos(&cfg);
     assert!(
         second.clean(),
         "replay violations: {:#?}",
@@ -55,7 +68,7 @@ fn raised_connection_count_soaks_clean() {
     // than the default 6 (past the storm threshold, so per-connection
     // ops shed) must still come back violation-free, and its replay
     // line must name the non-default count.
-    let mut cfg = smoke_config(7, "conns");
+    let (mut cfg, _scratch) = smoke_config(7, "conns");
     cfg.scenarios = vec![Scenario::Soak];
     cfg.connections = 80;
     let report = run_chaos(&cfg);
@@ -78,8 +91,6 @@ fn raised_connection_count_soaks_clean() {
         text.contains("--connections 80"),
         "artifact lacks the connection count: {text}"
     );
-    let _ = std::fs::remove_file(&artifact);
-    let _ = std::fs::remove_dir_all(cfg.scratch_dir);
 }
 
 #[test]
@@ -94,7 +105,7 @@ fn scenario_names_round_trip() {
 fn failure_artifacts_name_the_seed() {
     // An impossible SLO forces a violation; the artifact must exist
     // and carry the replay seed.
-    let mut cfg = smoke_config(42, "slo");
+    let (mut cfg, _scratch) = smoke_config(42, "slo");
     cfg.scenarios = vec![Scenario::Soak];
     cfg.slo = flexer_chaos::SloThresholds {
         layer_p50: 0,
@@ -114,6 +125,4 @@ fn failure_artifacts_name_the_seed() {
         text.contains("[slo]"),
         "artifact lacks the violation: {text}"
     );
-    let _ = std::fs::remove_file(&artifact);
-    let _ = std::fs::remove_dir_all(cfg.scratch_dir);
 }

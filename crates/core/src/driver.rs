@@ -12,8 +12,7 @@ use flexer_store::{fingerprint, Lookup, ScheduleStore};
 use flexer_tiling::Residency;
 use flexer_trace::Trace;
 use std::fmt;
-use std::io;
-use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The end-to-end schedule generator: Algorithm-1 searches per layer,
@@ -40,7 +39,7 @@ pub struct Flexer {
     arch: ArchConfig,
     options: SearchOptions,
     cache: MemoCache,
-    store: Option<ScheduleStore>,
+    store: Option<Arc<ScheduleStore>>,
 }
 
 impl Flexer {
@@ -66,45 +65,27 @@ impl Flexer {
         self
     }
 
-    /// Attaches a persistent [`ScheduleStore`] rooted at `path`
-    /// (created if absent), so layer searches warm-start across
-    /// processes: every search first consults the store by content
-    /// address, and every freshly searched winner is persisted.
+    /// Attaches a persistent [`ScheduleStore`], so layer searches
+    /// warm-start across processes: every search first consults the
+    /// store by content address, and every freshly searched winner is
+    /// persisted. Drivers of one process on one directory should share
+    /// one handle, so its LRU recency sees all their traffic.
     ///
     /// A store hit returns the persisted winner byte-for-byte (modulo
     /// the store hit/miss counters in its stats) without re-searching;
     /// under [`SearchOptions::validate`] the hit is still re-verified
     /// against the SPM abstract machine before being trusted. Corrupt
     /// entries are deleted and transparently re-searched.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the store directory cannot be
-    /// created or opened.
-    pub fn with_store(mut self, path: impl AsRef<Path>) -> io::Result<Self> {
-        self.store = Some(ScheduleStore::open(path)?);
-        Ok(self)
-    }
-
-    /// [`Flexer::with_store`] with an explicit eviction capacity in
-    /// bytes (`0` disables eviction).
-    ///
-    /// # Errors
-    ///
-    /// As [`Flexer::with_store`].
-    pub fn with_store_capacity(
-        mut self,
-        path: impl AsRef<Path>,
-        capacity_bytes: u64,
-    ) -> io::Result<Self> {
-        self.store = Some(ScheduleStore::with_capacity(path, capacity_bytes)?);
-        Ok(self)
+    #[must_use]
+    pub fn with_store(mut self, store: Arc<ScheduleStore>) -> Self {
+        self.store = Some(store);
+        self
     }
 
     /// The attached persistent store, if any.
     #[must_use]
     pub fn store(&self) -> Option<&ScheduleStore> {
-        self.store.as_ref()
+        self.store.as_deref()
     }
 
     /// The target architecture.
@@ -855,16 +836,14 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let d = driver().with_store(&dir).unwrap();
+        let store = Arc::new(ScheduleStore::open(&dir).unwrap());
+        let d = driver().with_store(Arc::clone(&store));
         let net = tiny_net();
         let first = d.schedule_network_resident(&net).unwrap();
         assert!(d.store().unwrap().len().unwrap() > 0);
         // A fresh driver (cold memo cache) over the same store replays
         // the same plan and the same totals from disk.
-        let d2 = Flexer::new(ArchConfig::preset(ArchPreset::Arch1))
-            .with_options(SearchOptions::quick())
-            .with_store(&dir)
-            .unwrap();
+        let d2 = driver().with_store(store);
         let second = d2.schedule_network_resident(&net).unwrap();
         assert_eq!(first.plan.resident_edges(), second.plan.resident_edges());
         assert_eq!(
@@ -883,7 +862,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let d = driver().with_store(&dir).unwrap();
+        let d = driver().with_store(Arc::new(ScheduleStore::open(&dir).unwrap()));
         let layers = [ConvLayer::new("c", 16, 14, 14, 16).unwrap()];
         let stored = || d.store().unwrap().len().unwrap();
         // A deadline run bypasses the memo and the store, even when it
@@ -912,7 +891,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let d = driver().with_store(&dir).unwrap();
+        let d = driver().with_store(Arc::new(ScheduleStore::open(&dir).unwrap()));
         let layers = [ConvLayer::new("c", 32, 14, 14, 32).unwrap()];
         let past = Instant::now() - std::time::Duration::from_secs(1);
         let run = d.search(&layers, SchedulerKind::Ooo, Some(past), None);

@@ -1,17 +1,18 @@
 //! Request execution: drivers, deadlines, and response bodies.
 //!
 //! The engine owns a lazily populated cache of [`Flexer`] drivers, one
-//! per `(arch, options, verify)` combination a request can name. All
-//! drivers share one persistent store directory when the server is
-//! started with one — entries are content-addressed, so the drivers
-//! never collide — and one driver's memo cache warms every later
-//! request with the same configuration.
+//! per `(arch, options, verify)` combination a request can name. When
+//! the server is started with a persistent store, the engine opens one
+//! [`ScheduleStore`] handle and every driver and the replication ops
+//! share it — entries are content-addressed, so the drivers never
+//! collide, and one LRU recency sees every hit. One driver's memo
+//! cache warms every later request with the same configuration.
 
 use crate::protocol::{hex_encode, ok_response, ErrorKind, Mode, Obj, Op, OptionsName, Request};
 use flexer::prelude::*;
 use flexer_arch::ArchPreset;
 use flexer_sched::SchedError;
-use flexer_store::{Ingest, ScheduleStore};
+use flexer_store::{Ingest, ScheduleStore, DEFAULT_CAPACITY_BYTES};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,12 +151,10 @@ pub struct Engine {
     drivers: Mutex<HashMap<DriverKey, Arc<Flexer>>>,
     store_dir: Option<PathBuf>,
     store_capacity: Option<u64>,
+    /// The one store handle every driver and the replication ops
+    /// share, opened on first use.
+    store: Mutex<Option<Arc<ScheduleStore>>>,
     residency: ResidencyCounters,
-    /// Dedicated store handle for the replication ops
-    /// (`store_manifest`/`store_pull`/`store_push`), opened lazily on
-    /// first use. Replication traffic deliberately bypasses the driver
-    /// stores so it never skews their hit/miss serving counters.
-    replication: Mutex<Option<Arc<ScheduleStore>>>,
 }
 
 impl Engine {
@@ -166,8 +165,8 @@ impl Engine {
             drivers: Mutex::new(HashMap::new()),
             store_dir: None,
             store_capacity: None,
+            store: Mutex::new(None),
             residency: ResidencyCounters::default(),
-            replication: Mutex::new(None),
         }
     }
 
@@ -177,11 +176,9 @@ impl Engine {
     #[must_use]
     pub fn with_store(dir: PathBuf, capacity_bytes: Option<u64>) -> Self {
         Self {
-            drivers: Mutex::new(HashMap::new()),
             store_dir: Some(dir),
             store_capacity: capacity_bytes,
-            residency: ResidencyCounters::default(),
-            replication: Mutex::new(None),
+            ..Self::new()
         }
     }
 
@@ -210,21 +207,41 @@ impl Engine {
         let (arch, options, verify) = key;
         let mut driver =
             Flexer::new(ArchConfig::preset(arch)).with_options(Self::options_for(options, verify));
-        if let Some(dir) = &self.store_dir {
-            driver = match self.store_capacity {
-                Some(cap) => driver.with_store_capacity(dir, cap),
-                None => driver.with_store(dir),
-            }
-            .map_err(|e| {
+        if let Some(store) = self.store()? {
+            driver = driver.with_store(store);
+        }
+        let driver = Arc::new(driver);
+        drivers.insert(key, Arc::clone(&driver));
+        Ok(driver)
+    }
+
+    /// The shared store handle, opened on first use; `None` when the
+    /// engine is memory-only.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::Internal`] when the directory cannot be opened.
+    fn store(&self) -> Result<Option<Arc<ScheduleStore>>, Failure> {
+        let Some(dir) = &self.store_dir else {
+            return Ok(None);
+        };
+        let mut slot = self.store.lock().expect("store slot poisoned");
+        if slot.is_none() {
+            let capacity = self.store_capacity.unwrap_or(DEFAULT_CAPACITY_BYTES);
+            let store = ScheduleStore::with_capacity(dir, capacity).map_err(|e| {
                 (
                     ErrorKind::Internal,
                     format!("cannot open schedule store at {}: {e}", dir.display()),
                 )
             })?;
+            *slot = Some(Arc::new(store));
         }
-        let driver = Arc::new(driver);
-        drivers.insert(key, Arc::clone(&driver));
-        Ok(driver)
+        Ok(slot.clone())
+    }
+
+    /// The store handle if a request has opened it already.
+    fn opened_store(&self) -> Option<Arc<ScheduleStore>> {
+        self.store.lock().expect("store slot poisoned").clone()
     }
 
     /// Number of distinct driver configurations instantiated so far.
@@ -233,49 +250,21 @@ impl Engine {
         self.drivers.lock().expect("driver cache poisoned").len()
     }
 
-    /// Store counters and entry count summed over every driver's store
-    /// handle, or `None` when the engine is memory-only.
+    /// The store's lifetime counters (all zero until a request opens
+    /// it), or `None` when the engine is memory-only.
     #[must_use]
     pub fn store_summary(&self) -> Option<StoreCounters> {
         self.store_dir.as_ref()?;
-        let drivers = self.drivers.lock().expect("driver cache poisoned");
-        let mut total = StoreCounters::default();
-        for driver in drivers.values() {
-            if let Some(store) = driver.store() {
-                let c = store.counters();
-                total.hits += c.hits;
-                total.misses += c.misses;
-                total.evictions += c.evictions;
-                total.corrupt += c.corrupt;
-            }
-        }
-        drop(drivers);
-        // The replication handle never hits or misses, but its
-        // eviction and corrupt-rejection counts are store traffic the
-        // stats op must not hide.
-        if let Some(store) = self.replication.lock().expect("replication store").as_ref() {
-            let c = store.counters();
-            total.evictions += c.evictions;
-            total.corrupt += c.corrupt;
-        }
-        Some(total)
+        let store = self.opened_store();
+        Some(store.map(|s| s.counters()).unwrap_or_default())
     }
 
-    /// Number of entries currently in the shared store directory.
+    /// Number of entries in the store directory (0 until a request
+    /// opens it), or `None` when the engine is memory-only.
     #[must_use]
     pub fn store_entries(&self) -> Option<usize> {
-        let drivers = self.drivers.lock().expect("driver cache poisoned");
-        drivers
-            .values()
-            .find_map(|d| d.store().and_then(|s| s.len().ok()))
-            .or_else(|| {
-                self.replication
-                    .lock()
-                    .expect("replication store")
-                    .as_ref()
-                    .and_then(|s| s.len().ok())
-            })
-            .or(self.store_dir.as_ref().map(|_| 0))
+        self.store_dir.as_ref()?;
+        Some(self.opened_store().and_then(|s| s.len().ok()).unwrap_or(0))
     }
 
     /// Snapshot of the aggregate residency counters — what the
@@ -291,53 +280,12 @@ impl Engine {
         }
     }
 
-    /// Flushes every driver's store directory (directory-level
-    /// `fsync`), making all persisted schedules durable. Called on
-    /// graceful shutdown.
-    pub fn flush_stores(&self) {
-        let drivers = self.drivers.lock().expect("driver cache poisoned");
-        for driver in drivers.values() {
-            if let Some(store) = driver.store() {
-                let _ = store.flush();
-            }
-        }
-        drop(drivers);
-        if let Some(store) = self.replication.lock().expect("replication store").as_ref() {
+    /// Flushes the store directory (directory-level `fsync`), making
+    /// all persisted schedules durable. Called on graceful shutdown.
+    pub fn flush_store(&self) {
+        if let Some(store) = self.opened_store() {
             let _ = store.flush();
         }
-    }
-
-    /// The (lazily opened) store handle the replication ops use.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::BadRequest`] on a server without a persistent
-    /// store, [`ErrorKind::Internal`] when the directory cannot be
-    /// opened.
-    fn replication_store(&self) -> Result<Arc<ScheduleStore>, Failure> {
-        let dir = self.store_dir.as_ref().ok_or_else(|| {
-            (
-                ErrorKind::BadRequest,
-                "this server has no persistent store (started without --store)".to_string(),
-            )
-        })?;
-        let mut guard = self.replication.lock().expect("replication store");
-        if let Some(store) = guard.as_ref() {
-            return Ok(Arc::clone(store));
-        }
-        let store = match self.store_capacity {
-            Some(cap) => ScheduleStore::with_capacity(dir, cap),
-            None => ScheduleStore::open(dir),
-        }
-        .map_err(|e| {
-            (
-                ErrorKind::Internal,
-                format!("cannot open schedule store at {}: {e}", dir.display()),
-            )
-        })?;
-        let store = Arc::new(store);
-        *guard = Some(Arc::clone(&store));
-        Ok(store)
     }
 
     /// Executes one replication request ([`Op::StoreManifest`],
@@ -358,7 +306,12 @@ impl Engine {
     /// [`crate::protocol::parse_request`] routes only `store_*` ops
     /// here.
     pub fn run_store(&self, req: &Request) -> Result<String, Failure> {
-        let store = self.replication_store()?;
+        let store = self.store()?.ok_or_else(|| {
+            (
+                ErrorKind::BadRequest,
+                "this server has no persistent store (started without --store)".to_string(),
+            )
+        })?;
         let internal = |e: std::io::Error| (ErrorKind::Internal, format!("store I/O failed: {e}"));
         let mut o = ok_response(req.op, req.id.as_deref());
         match req.op {

@@ -40,7 +40,9 @@ pub struct ServerConfig {
     /// Deadline applied to requests that don't carry their own, in
     /// milliseconds; `0` means unbounded.
     pub default_deadline_ms: u64,
-    /// Persistent schedule-store directory shared by every driver.
+    /// Persistent schedule-store directory. The server opens one
+    /// store handle on it, shared by every driver and the replication
+    /// ops.
     pub store_dir: Option<PathBuf>,
     /// Store eviction capacity in bytes (`None` = store default,
     /// `Some(0)` = unbounded).
@@ -192,7 +194,7 @@ impl Server {
             shed(stream, ErrorKind::ShuttingDown, "server is draining");
         }
         drop(queue);
-        self.shared.engine.flush_stores();
+        self.shared.engine.flush_store();
         Ok(())
     }
 }

@@ -30,11 +30,11 @@
 //! * **Size-bounded** — when the store grows past its byte capacity, a
 //!   least-recently-used eviction pass deletes old entries (recency is
 //!   in-memory per process, with file modification time as the
-//!   cross-process fallback).
-//! * **Accounted** — hit/miss/evict/corrupt counters merge into
-//!   [`SearchStats`](flexer_sched::SearchStats) via
-//!   [`ScheduleStore::stats`], so warm starts are visible in every
-//!   stats sink the repo already has.
+//!   fallback for entries this process never touched). Recency lives
+//!   in the [`ScheduleStore`] handle, so the supported pattern is one
+//!   handle per directory per process, shared by every caller.
+//! * **Accounted** — a handle's lifetime hit/miss/evict/corrupt
+//!   counters are [`ScheduleStore::counters`].
 //!
 //! # Examples
 //!

@@ -2,9 +2,9 @@
 
 use crate::fingerprint::{Fingerprint, FORMAT_VERSION, MAGIC};
 use flexer_sched::wire::{decode_layer_result, encode_layer_result};
-use flexer_sched::{LayerSearchResult, SearchStats};
+use flexer_sched::LayerSearchResult;
 use flexer_sim::wire::WireError;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -148,7 +148,10 @@ struct Recency {
 /// at one directory. See the crate docs for the design.
 ///
 /// All methods take `&self`; the store is safe to share across the
-/// worker threads of a scheduling service.
+/// worker threads of a scheduling service. Open one handle per
+/// directory per process and share it: the LRU recency and the
+/// counters live in the handle, so a second handle would evict by a
+/// view that never saw the first one's hits.
 #[derive(Debug)]
 pub struct ScheduleStore {
     dir: PathBuf,
@@ -159,6 +162,10 @@ pub struct ScheduleStore {
     corrupt: AtomicU64,
     recency: Mutex<Recency>,
 }
+
+/// Canonical directories this process has already reaped of crash
+/// leftovers (see [`ScheduleStore::with_capacity`]).
+static REAPED: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
 
 fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -183,7 +190,8 @@ impl ScheduleStore {
     /// Opens (creating if needed) a store at `dir` bounded to
     /// `capacity_bytes` of entry data. `0` means unbounded.
     ///
-    /// Leftover temp files from a crashed writer are reaped on open.
+    /// Leftover temp files from a crashed writer are reaped on the
+    /// directory's first open in this process.
     ///
     /// # Errors
     ///
@@ -191,13 +199,21 @@ impl ScheduleStore {
     pub fn with_capacity(dir: impl AsRef<Path>, capacity_bytes: u64) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        // Reap temp files a crashed writer may have left behind.
-        for entry in fs::read_dir(&dir)?.flatten() {
-            let name = entry.file_name();
-            if name.to_string_lossy().starts_with(".tmp-") {
-                let _ = fs::remove_file(entry.path());
+        // Reap temp files a crashed writer may have left behind, on
+        // the directory's first open in this process only: a later
+        // open would delete the in-flight temp and quarantine files of
+        // the handles already live on it. The lock is held across the
+        // reap, so no handle on the directory is live until it ends.
+        let mut reaped = REAPED.lock().expect("reaped set poisoned");
+        if reaped.insert(fs::canonicalize(&dir)?) {
+            for entry in fs::read_dir(&dir)?.flatten() {
+                let name = entry.file_name();
+                if name.to_string_lossy().starts_with(".tmp-") {
+                    let _ = fs::remove_file(entry.path());
+                }
             }
         }
+        drop(reaped);
         Ok(Self {
             dir,
             capacity_bytes,
@@ -209,12 +225,6 @@ impl ScheduleStore {
         })
     }
 
-    /// The store's root directory.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
     /// Lifetime counters of this handle.
     #[must_use]
     pub fn counters(&self) -> StoreCounters {
@@ -223,20 +233,6 @@ impl ScheduleStore {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The counters as a [`SearchStats`] delta (only the four store
-    /// fields are nonzero), ready to merge into any stats sink.
-    #[must_use]
-    pub fn stats(&self) -> SearchStats {
-        let c = self.counters();
-        SearchStats {
-            store_hits: c.hits,
-            store_misses: c.misses,
-            store_evictions: c.evictions,
-            store_corrupt: c.corrupt,
-            ..SearchStats::default()
         }
     }
 
@@ -663,7 +659,6 @@ mod tests {
         assert_eq!(warm.score.to_bits(), result.score.to_bits());
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.corrupt), (1, 1, 0));
-        assert_eq!(store.stats().store_hits, 1);
         store.flush().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }

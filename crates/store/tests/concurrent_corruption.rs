@@ -1,6 +1,7 @@
-//! The corrupt-miss repair path under concurrency: multiple store
-//! handles sharing one directory (as the serve engine's per-config
-//! drivers do) race lookups, repairs and live corruption injection.
+//! The corrupt-miss repair path under concurrency: store handles
+//! sharing one directory (as two processes on one store do; each test
+//! opens them in one process) race lookups, repairs and live
+//! corruption injection.
 //! The invariants, regardless of interleaving:
 //!
 //! - no thread panics,
@@ -17,7 +18,7 @@ use flexer_sched::wire::encode_layer_result;
 use flexer_sched::{search_layer, LayerSearchResult, SearchOptions};
 use flexer_store::{fingerprint, Fingerprint, Lookup, ScheduleStore};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 static DIR_ID: AtomicU32 = AtomicU32::new(0);
@@ -39,6 +40,16 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Names of the `.tmp-*` (temp write or quarantine) files in `dir`.
+fn temp_litter(dir: &Scratch) -> Vec<String> {
+    std::fs::read_dir(&dir.0)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(".tmp-"))
+        .collect()
 }
 
 /// Deterministic xorshift64* PRNG: the corruption schedule is a pure
@@ -124,7 +135,7 @@ fn concurrent_corruption_never_serves_torn_entries_and_always_reheals() {
     let fp = fingerprint(&layer, &arch, &opts, flexer_sched::SchedulerKind::Ooo);
     let canonical_bytes = masked(&result);
 
-    // Two handles on one directory — two engines, as in flexer-serve.
+    // Two handles on one directory, as two processes would hold.
     let stores: Vec<Arc<ScheduleStore>> = (0..2)
         .map(|_| Arc::new(ScheduleStore::open(&dir.0).unwrap()))
         .collect();
@@ -202,14 +213,7 @@ fn concurrent_corruption_never_serves_torn_entries_and_always_reheals() {
     assert_eq!(masked(&healed), canonical_bytes);
 
     // No quarantine/temp litter survives the melee.
-    let litter: Vec<String> = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            name.starts_with(".tmp-").then_some(name)
-        })
-        .collect();
+    let litter = temp_litter(&dir);
     assert!(litter.is_empty(), "temp litter left behind: {litter:?}");
 }
 
@@ -533,11 +537,48 @@ fn concurrent_puts_of_one_fingerprint_all_succeed() {
         }
     }
     assert_eq!(store.len().unwrap(), ROUNDS);
-    let litter: Vec<String> = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with(".tmp-"))
-        .collect();
+    let litter = temp_litter(&dir);
+    assert!(litter.is_empty(), "temp litter left behind: {litter:?}");
+}
+
+/// Opening a handle on a directory another handle is writing to must
+/// not reap that handle's in-flight temp files (only crash leftovers,
+/// on the directory's first open in the process): with a second handle
+/// re-opening the directory in a loop, every `put` renames its temp
+/// into place and none is left behind.
+#[test]
+fn reopening_a_live_directory_keeps_in_flight_puts() {
+    const PUTS: usize = 2000;
+    let dir = Scratch::new("reopen");
+    let (_, _, _, result) = canonical();
+    // Unbounded, so no put pays for an eviction scan of the directory.
+    let store = ScheduleStore::with_capacity(&dir.0, 0).unwrap();
+    let puts_done = AtomicBool::new(false);
+    let failed = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !puts_done.load(Ordering::Acquire) {
+                ScheduleStore::open(&dir.0).unwrap();
+            }
+        });
+        let failed: Vec<String> = (0..PUTS)
+            .filter_map(|i| {
+                let fp = flexer_store::fingerprint_of_key_bytes(format!("reopen-{i}").as_bytes());
+                store
+                    .put(fp, &result)
+                    .err()
+                    .map(|e| format!("put {i}: {e}"))
+            })
+            .collect();
+        puts_done.store(true, Ordering::Release);
+        failed
+    });
+    assert!(
+        failed.is_empty(),
+        "{} of {PUTS} puts failed; first: {}",
+        failed.len(),
+        failed[0]
+    );
+    assert_eq!(store.len().unwrap(), PUTS);
+    let litter = temp_litter(&dir);
     assert!(litter.is_empty(), "temp litter left behind: {litter:?}");
 }

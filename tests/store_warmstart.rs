@@ -10,6 +10,7 @@ use flexer_sched::wire::encode_layer_result;
 use flexer_sched::LayerSearchResult;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 static DIR_ID: AtomicU32 = AtomicU32::new(0);
 
@@ -47,11 +48,15 @@ fn distinct_net() -> Network {
     .unwrap()
 }
 
+/// A fresh store handle on `dir`, as a separate process would open.
+fn open(dir: &Scratch) -> Arc<ScheduleStore> {
+    Arc::new(ScheduleStore::open(&dir.0).unwrap())
+}
+
 fn driver(dir: &Scratch) -> Flexer {
     Flexer::new(ArchConfig::preset(ArchPreset::Arch1))
         .with_options(SearchOptions::quick())
-        .with_store(&dir.0)
-        .unwrap()
+        .with_store(open(dir))
 }
 
 /// The canonical wire encoding with the store counters masked out —
@@ -202,8 +207,7 @@ fn replicated_store_warm_starts_node_b_without_search() {
     let driver_on = |dir: &Scratch| {
         Flexer::new(ArchConfig::hetero1())
             .with_options(SearchOptions::quick())
-            .with_store(&dir.0)
-            .unwrap()
+            .with_store(open(dir))
     };
     let nets = networks::diverse();
 
@@ -327,8 +331,7 @@ fn diverse_zoo_verifies_and_warm_starts_on_every_arch() {
                 opts.validate = true;
                 Flexer::new(arch.clone())
                     .with_options(opts)
-                    .with_store(&dir.0)
-                    .unwrap()
+                    .with_store(open(&dir))
             };
             let name = format!("{} on {arch_name}", net.name());
             let cold = driver().schedule_network(&net).unwrap();
