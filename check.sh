@@ -11,6 +11,11 @@ cargo build --release --workspace
 # dependency change would rewrite its lockfile.
 cargo build --release --offline --locked --manifest-path flexbench/Cargo.toml
 cargo test -q --offline --locked --manifest-path flexbench/Cargo.toml
+# Benchmark self-test: every workload at --tiny, traced and untraced,
+# with the benchmark's output checks — every hit byte-identical to its
+# cold answer after provenance masking, every cold winner re-verified
+# on the SPM abstract machine. It writes only under .bench_work/.
+python3 flexbench/selftest.py
 # Every suite of every crate, in one run. It includes:
 # - Differential gate: the interpreter/verifier suites of flexer-sim
 #   and flexer-sched, plus a network-level sweep executing every

@@ -1,10 +1,12 @@
-//! Benchmarks of the Algorithm-1 layer search (quick budget) and the
-//! memoized replay path the paper suggests in §3.
+//! Benchmarks of the Algorithm-1 layer search (quick budget) and of a
+//! driver answering a repeated shape from its in-process result tier,
+//! the "memory function" the paper suggests in §3.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use flexer::Flexer;
 use flexer_arch::{ArchConfig, ArchPreset};
 use flexer_model::ConvLayer;
-use flexer_sched::{search_layer, MemoCache, Search, SearchOptions};
+use flexer_sched::{search_layer, SearchOptions};
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
@@ -17,16 +19,12 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| search_layer(black_box(&layer), &arch, &opts).unwrap())
     });
 
-    // Memoized replay: a cache warmed once turns the search into a
-    // single GetSchedule run.
-    let cache = MemoCache::new();
-    let cached = Search {
-        cache: Some(&cache),
-        ..Search::new(&arch, &opts)
-    };
-    cached.run_layer(&layer).unwrap();
-    c.bench_function("search_layer_memo_replay", |b| {
-        b.iter(|| cached.run_layer(black_box(&layer)).unwrap())
+    // Tier hit: a driver warmed once answers with the held winner —
+    // one fingerprint, one lookup and one decode, no scheduler run.
+    let driver = Flexer::new(arch.clone()).with_options(opts.clone());
+    driver.schedule_layer(&layer).unwrap();
+    c.bench_function("driver_tier_hit", |b| {
+        b.iter(|| driver.schedule_layer(black_box(&layer)).unwrap())
     });
 }
 

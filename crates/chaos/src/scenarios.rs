@@ -36,7 +36,7 @@ const STORM_TOLERANCE_THRESHOLD: usize = 64;
 
 /// A fourth shape used only as concurrent "hammer" traffic in the
 /// corruption scenario, so corrupting a [`SHAPES`] entry always hits a
-/// memo-cold fingerprint in the fresh server.
+/// tier-cold fingerprint in the fresh server.
 const HAMMER_SHAPE: (u32, u32, u32, u32) = (8, 14, 14, 8);
 
 fn layers_json((c_in, h, w, c_out): (u32, u32, u32, u32)) -> String {
@@ -461,7 +461,7 @@ fn oversized_line(addr: SocketAddr) -> Result<String, String> {
 
 /// Live `.fxs` corruption under concurrent load. Round 0 populates the
 /// store cold and records reference answers; every later round boots a
-/// *fresh* server (a fresh server has a cold memo, so corrupted
+/// *fresh* server (a fresh server has a cold result tier, so corrupted
 /// entries are actually re-read), corrupts a seeded subset of entries
 /// while hammer traffic is in flight, and asserts the re-requested
 /// answers are byte-identical to the references modulo provenance,
@@ -542,7 +542,7 @@ fn corruption_round(
     });
 
     // Corrupt a seeded subset — at least two entries, so at least one
-    // belongs to a shape the fresh server has not yet memoised and the
+    // belongs to a shape the fresh server has not yet read back and the
     // damage is guaranteed to be *read*, not skipped.
     let entries = store_files(store, "fxs");
     let mut victims: Vec<&String> = entries.iter().filter(|_| rng.chance(50)).collect();

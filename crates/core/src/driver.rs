@@ -2,11 +2,13 @@
 
 use crate::report::{NetworkComparison, NetworkResult};
 use crate::residency::{replay_ledger, EdgeDecision, ResidencyPlan, ResidentNetworkResult};
+use crate::tier::ResultTier;
 use flexer_arch::{ArchConfig, ArchConfigBuilder};
 use flexer_model::{ConvLayer, Network};
+use flexer_sched::wire::{decode_layer_result, encode_layer_result};
 use flexer_sched::{
-    verify_layer_result, LayerSearchResult, MemoCache, SchedError, SchedulerKind, Search,
-    SearchOptions, SearchRun, TraceOptions,
+    verify_layer_result, LayerSearchResult, SchedError, SchedulerKind, Search, SearchOptions,
+    SearchRun, TraceOptions,
 };
 use flexer_store::{fingerprint, Lookup, ScheduleStore};
 use flexer_tiling::Residency;
@@ -16,10 +18,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The end-to-end schedule generator: Algorithm-1 searches per layer,
-/// with a built-in memoization cache so repeated layer shapes (e.g.
-/// ResNet-50's bottleneck blocks) search only once and an optional
-/// persistent store, plus the comparison helpers the evaluation
-/// section needs. [`Flexer::search`] is its one search entry point.
+/// with a bounded in-process tier of whole winners, so repeated layer
+/// shapes (e.g. ResNet-50's bottleneck blocks) search only once, and an
+/// optional persistent store behind it, plus the comparison helpers the
+/// evaluation section needs. [`Flexer::search`] is its one search entry
+/// point.
 ///
 /// # Examples
 ///
@@ -38,7 +41,7 @@ use std::time::Instant;
 pub struct Flexer {
     arch: ArchConfig,
     options: SearchOptions,
-    cache: MemoCache,
+    tier: ResultTier,
     store: Option<Arc<ScheduleStore>>,
 }
 
@@ -49,19 +52,19 @@ impl Flexer {
         Self {
             arch,
             options: SearchOptions::default(),
-            cache: MemoCache::new(),
+            tier: ResultTier::new(),
             store: None,
         }
     }
 
-    /// Replaces the search options. Clears the memo cache, since
-    /// cached winners are option-specific. A configured persistent
+    /// Replaces the search options. Clears the result tier, since
+    /// held winners are option-specific. A configured persistent
     /// store stays attached: its entries are content-addressed by the
     /// options, so entries for the old options simply stop matching.
     #[must_use]
     pub fn with_options(mut self, options: SearchOptions) -> Self {
         self.options = options;
-        self.cache = MemoCache::new();
+        self.tier = ResultTier::new();
         self
     }
 
@@ -75,7 +78,10 @@ impl Flexer {
     /// the store hit/miss counters in its stats) without re-searching;
     /// under [`SearchOptions::validate`] the hit is still re-verified
     /// against the SPM abstract machine before being trusted. Corrupt
-    /// entries are deleted and transparently re-searched.
+    /// entries are deleted and transparently re-searched. A winner read
+    /// back from the store enters the driver's result tier, which
+    /// answers later lookups without a file read and reports each one
+    /// to the store ([`ScheduleStore::note_memory_hit`]).
     #[must_use]
     pub fn with_store(mut self, store: Arc<ScheduleStore>) -> Self {
         self.store = Some(store);
@@ -100,29 +106,36 @@ impl Flexer {
         &self.options
     }
 
-    /// Number of memoized layer-shape winners accumulated so far.
+    /// Number of winners the driver's in-process result tier holds.
     #[must_use]
     pub fn cached_shapes(&self) -> usize {
-        self.cache.len()
+        self.tier.len()
     }
 
     /// Searches `layers` with the `kind` scheduler under the driver's
     /// options — the driver's one search entry point. Results are
     /// index-aligned with `layers`.
     ///
-    /// The mode decides what the driver's memo cache and persistent
-    /// store see:
+    /// The mode decides what the driver's result tier and persistent
+    /// store see. The tier holds whole winners, keyed by the store's
+    /// fingerprint and bounded in bytes (least recently used out):
     ///
-    /// - An exact, untraced run reads and writes both. Store hits skip
-    ///   the search entirely (re-verified first under
-    ///   [`SearchOptions::validate`]); misses search and persist their
-    ///   winner.
+    /// - An exact, untraced run reads the tier, then the store. Hits
+    ///   of either skip the search entirely (re-verified first under
+    ///   [`SearchOptions::validate`]); misses search. With a store
+    ///   attached, a searched winner is persisted and enters the tier
+    ///   when it is first read back; without one, it enters the tier
+    ///   at once.
     /// - A `deadline` run bypasses both in both directions. Both keep
     ///   only proven optima, and an anytime result depends on
     ///   wall-clock luck, not just the search key. See
     ///   [`Search::deadline`] for the anytime semantics.
-    /// - A traced run bypasses the store, so the trace shows the real
-    ///   search, but shares the memo cache.
+    /// - A traced run reads neither, so the trace shows the real
+    ///   search of every layer. It writes the tier of a driver without
+    ///   a store, and nothing on a store-backed one: there a tier hit
+    ///   counts as a store hit, so the tier holds only stored winners.
+    /// - A [`SearchOptions::collect_points`] run never touches the
+    ///   tier: a point sweep needs every candidate.
     ///
     /// # Examples
     ///
@@ -160,61 +173,71 @@ impl Flexer {
 
     /// [`Flexer::search`] for an explicit request: the residency
     /// planner searches reduced-SPM variants of [`Flexer::arch`], and
-    /// verification forces [`SearchOptions::validate`]. The memo key
-    /// and the store fingerprint both cover the architecture and the
-    /// options, so sharing the cache and the store stays sound.
+    /// verification forces [`SearchOptions::validate`]. The store
+    /// fingerprint, which keys the tier too, covers the architecture
+    /// and the options, so sharing the tier and the store stays sound.
     fn search_on(&self, request: Search<'_>, layers: &[ConvLayer]) -> SearchRun {
-        let exact = request.deadline.is_none();
-        let request = Search {
-            cache: exact.then_some(&self.cache),
-            ..request
-        };
-        let Some(store) = self
-            .store
-            .as_ref()
-            .filter(|_| exact && request.trace.is_none())
-        else {
+        if request.deadline.is_some() {
             return request.run(layers);
-        };
+        }
+        let untraced = request.trace.is_none();
+        let tiered = !request.opts.collect_points;
+        let store = self.store.as_deref().filter(|_| untraced);
+        // A store-backed tier holds only winners read back from the
+        // store: a tier hit counts as a store hit.
+        let admit_searched = tiered && self.store.is_none();
         let mut slots: Vec<Option<Result<LayerSearchResult, SchedError>>> =
             (0..layers.len()).map(|_| None).collect();
         let mut misses = Vec::new();
         for (i, layer) in layers.iter().enumerate() {
             let fp = fingerprint(layer, request.arch, request.opts, request.kind);
-            match store.get(fp) {
-                Lookup::Hit(mut hit) => {
-                    // The address ignores layer names; restore the
-                    // requested one.
-                    hit.layer = layer.name().to_string();
+            let held = if tiered && untraced {
+                self.tier.get(fp)
+            } else {
+                None
+            };
+            if let Some(payload) = held {
+                let mut hit = decode_layer_result(&payload)
+                    .expect("the tier holds only payloads this process encoded");
+                if let Some(store) = store {
+                    store.note_memory_hit(fp);
                     hit.stats.store_hits = 1;
-                    let checked = if request.opts.validate {
-                        verify_layer_result(
-                            layer,
-                            request.arch,
-                            request.opts,
-                            request.kind,
-                            &mut hit,
-                        )
-                    } else {
-                        Ok(())
-                    };
-                    slots[i] = Some(checked.map(|()| *hit));
                 }
-                Lookup::Miss | Lookup::Corrupt(_) => misses.push((i, fp)),
+                slots[i] = Some(Self::serve_hit(&request, layer, hit));
+                continue;
+            }
+            match store.map(|store| store.get(fp)) {
+                Some(Lookup::Hit(mut hit)) => {
+                    if tiered {
+                        self.tier.insert(fp, encode_layer_result(&hit));
+                    }
+                    hit.stats.store_hits = 1;
+                    slots[i] = Some(Self::serve_hit(&request, layer, *hit));
+                }
+                Some(Lookup::Miss | Lookup::Corrupt(_)) | None => misses.push((i, fp)),
             }
         }
+        let mut trace = Trace::empty();
         if !misses.is_empty() {
             let missed: Vec<ConvLayer> = misses.iter().map(|&(i, _)| layers[i].clone()).collect();
-            for ((i, fp), result) in misses.into_iter().zip(request.run(&missed).results) {
+            let run = request.run(&missed);
+            trace = run.trace;
+            for ((i, fp), result) in misses.into_iter().zip(run.results) {
                 slots[i] = Some(result.map(|mut result| {
-                    result.stats.store_misses = 1;
-                    // Persisting is best-effort: a full disk must not
-                    // fail the search that just succeeded. Only exact
-                    // winners are durable — an anytime result must
-                    // never masquerade as the proven optimum on a
+                    // Only exact winners are kept — an anytime result
+                    // must never masquerade as the proven optimum on a
                     // later, unhurried run.
-                    if result.is_exact() {
-                        let _ = store.put(fp, &result);
+                    if let Some(store) = store {
+                        result.stats.store_misses = 1;
+                        // Persisting is best-effort: a full disk must
+                        // not fail the search that just succeeded.
+                        if result.is_exact() {
+                            let _ = store.put(fp, &result);
+                        }
+                    } else if admit_searched && result.is_exact() {
+                        // The search leaves the store counters zero, so
+                        // these are the bytes a store entry would hold.
+                        self.tier.insert(fp, encode_layer_result(&result));
                     }
                     result
                 }));
@@ -222,8 +245,23 @@ impl Flexer {
         }
         SearchRun {
             results: slots.into_iter().map(|s| s.expect("slot filled")).collect(),
-            trace: Trace::empty(),
+            trace,
         }
+    }
+
+    /// A winner served from the tier or the store for `layer`: renamed
+    /// (the fingerprint ignores names) and, under
+    /// [`SearchOptions::validate`], re-verified before it is trusted.
+    fn serve_hit(
+        request: &Search<'_>,
+        layer: &ConvLayer,
+        mut hit: LayerSearchResult,
+    ) -> Result<LayerSearchResult, SchedError> {
+        hit.layer = layer.name().to_string();
+        if request.opts.validate {
+            verify_layer_result(layer, request.arch, request.opts, request.kind, &mut hit)?;
+        }
+        Ok(hit)
     }
 
     /// Finds the best out-of-order schedule for one layer
@@ -413,10 +451,11 @@ impl Flexer {
                 out_region[i - 1] = 0;
                 in_region[i] = 0;
                 current[i - 1] = if residencies[i - 1].any() {
-                    // Replays the memoized winner the earlier accept of
-                    // edge i-2 produced under exactly these flags.
+                    // The winner the earlier accept of edge i-2 found
+                    // under exactly these flags: served by the tier or
+                    // the store, or re-searched if evicted.
                     self.search_one_resident(&layers[i - 1], residencies[i - 1], in_region[i - 1])
-                        .expect("revert re-search replays a memoized winner")
+                        .expect("revert re-search reproduces an accepted winner")
                 } else {
                     baseline[i - 1].clone()
                 };
@@ -557,14 +596,63 @@ mod tests {
     }
 
     #[test]
-    fn memo_cache_kicks_in_for_repeated_shapes() {
+    fn repeated_shapes_search_once() {
         let d = driver();
         let net = tiny_net();
         let r = d.schedule_network(&net).unwrap();
-        // c2 and c3 share a shape: the second search is a memo replay.
+        // c2 and c3 share a shape: the second is an in-batch replay.
         assert_eq!(r.layers()[2].evaluated, 1);
         assert!(r.layers()[1].evaluated > 1);
-        assert!(d.cached_shapes() >= 2);
+        assert_eq!(d.cached_shapes(), 2);
+    }
+
+    #[test]
+    fn a_repeated_shape_gets_the_held_winner_byte_for_byte() {
+        let d = driver();
+        let layer = ConvLayer::new("c", 32, 14, 14, 32).unwrap();
+        let first = d.schedule_layer(&layer).unwrap();
+        assert!(first.evaluated > 1);
+        let mut second = d.schedule_layer(&layer.with_name("again")).unwrap();
+        assert_eq!(second.layer, "again");
+        second.layer = first.layer.clone();
+        assert_eq!(
+            encode_layer_result(&second),
+            encode_layer_result(&first),
+            "a tier hit is the searched winner, not a one-candidate replay"
+        );
+    }
+
+    #[test]
+    fn tier_hits_are_reverified_under_validate() {
+        let d = driver();
+        let net = tiny_net();
+        assert!(!d.schedule_network(&net).unwrap().verified());
+        // The fingerprint ignores `validate`: every layer is a tier hit
+        // of an unverified winner, and each is verified before use.
+        let cmp = d.verify_network(&net).unwrap();
+        for hit in cmp.flexer().layers() {
+            assert_eq!(hit.stats.schedules_verified, 1, "{}", hit.layer);
+            assert!(hit.evaluated > 1, "{} is a one-candidate replay", hit.layer);
+        }
+    }
+
+    #[test]
+    fn tier_keeps_schedulers_apart_and_skips_point_sweeps() {
+        let mut opts = SearchOptions::quick();
+        let d = Flexer::new(ArchConfig::preset(ArchPreset::Arch1)).with_options(opts.clone());
+        let layers = [ConvLayer::new("c", 16, 14, 14, 16).unwrap()];
+        for kind in [SchedulerKind::Ooo, SchedulerKind::Static] {
+            assert!(d.search(&layers, kind, None, None).results[0].is_ok());
+        }
+        assert_eq!(d.cached_shapes(), 2, "ooo and static winners alias");
+        opts.collect_points = true;
+        let sweep = d.with_options(opts);
+        let full = sweep.search(&layers, SchedulerKind::Ooo, None, None);
+        let full = full.into_result().unwrap().remove(0);
+        assert!(full.evaluated > 1 && !full.points.is_empty());
+        let again = sweep.search(&layers, SchedulerKind::Ooo, None, None);
+        assert!(!again.into_result().unwrap()[0].points.is_empty());
+        assert_eq!(sweep.cached_shapes(), 0, "a point sweep entered the tier");
     }
 
     #[test]
@@ -620,10 +708,14 @@ mod tests {
         }
         let table = cmp.render_table();
         assert!(table.contains("legality"), "{table}");
-        // A plain comparison does not claim verification.
-        let plain = d.compare_network(&net).unwrap();
+        // A plain comparison does not claim verification...
+        let plain = driver().compare_network(&net).unwrap();
         assert!(!plain.flexer().verified());
         assert!(!plain.render_table().contains("legality"));
+        // ...unless it is served the winners a verified run left in
+        // the driver's tier, with the stats of the search that found
+        // and verified them.
+        assert!(d.compare_network(&net).unwrap().flexer().verified());
     }
 
     #[test]
@@ -647,8 +739,8 @@ mod tests {
         // Both exports render without panicking and agree on content.
         assert!(flexer_trace::chrome::to_chrome_json(trace).contains("\"traceEvents\""));
         assert!(flexer_trace::text::render_tree(trace).contains("search"));
-        // The traced search fills the same memo cache.
-        assert!(d.cached_shapes() >= 2);
+        // A traced search on a driver without a store fills its tier.
+        assert_eq!(d.cached_shapes(), 2);
     }
 
     #[test]
@@ -841,7 +933,7 @@ mod tests {
         let net = tiny_net();
         let first = d.schedule_network_resident(&net).unwrap();
         assert!(d.store().unwrap().len().unwrap() > 0);
-        // A fresh driver (cold memo cache) over the same store replays
+        // A fresh driver (cold result tier) over the same store replays
         // the same plan and the same totals from disk.
         let d2 = driver().with_store(store);
         let second = d2.schedule_network_resident(&net).unwrap();
@@ -855,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    fn each_mode_keeps_its_store_and_memo_policy() {
+    fn each_mode_keeps_its_store_and_tier_policy() {
         let dir = std::env::temp_dir().join(format!(
             "flexer-mode-store-{}-{:?}",
             std::process::id(),
@@ -865,21 +957,34 @@ mod tests {
         let d = driver().with_store(Arc::new(ScheduleStore::open(&dir).unwrap()));
         let layers = [ConvLayer::new("c", 16, 14, 14, 16).unwrap()];
         let stored = || d.store().unwrap().len().unwrap();
-        // A deadline run bypasses the memo and the store, even when it
+        // A deadline run bypasses the tier and the store, even when it
         // finishes exactly.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let run = d.search(&layers, SchedulerKind::Ooo, Some(far), None);
         assert!(run.results[0].as_ref().unwrap().is_exact());
         assert_eq!((d.cached_shapes(), stored()), (0, 0));
-        // A traced run fills the memo but bypasses the store.
+        // A traced run bypasses the store, and a store-backed tier
+        // holds only winners read back from the store.
         let trace = Some(TraceOptions::default());
         let run = d.search(&layers, SchedulerKind::Ooo, None, trace);
         assert!(!run.trace.is_empty());
-        assert_eq!((d.cached_shapes(), stored()), (1, 0));
+        assert_eq!((d.cached_shapes(), stored()), (0, 0));
         // An exact untraced run persists its winner.
         let run = d.search(&layers, SchedulerKind::Ooo, None, None);
         assert_eq!(run.results[0].as_ref().unwrap().stats.store_misses, 1);
-        assert_eq!(stored(), 1);
+        assert_eq!((d.cached_shapes(), stored()), (0, 1));
+        // Read back from disk, the winner enters the tier, which
+        // answers the next lookup and reports it as a store hit.
+        for memory_hits in [0, 1] {
+            let run = d.search(&layers, SchedulerKind::Ooo, None, None);
+            assert_eq!(run.results[0].as_ref().unwrap().stats.store_hits, 1);
+            assert_eq!(d.cached_shapes(), 1);
+            assert_eq!(d.store().unwrap().counters().memory_hits, memory_hits);
+        }
+        // A traced run still searches.
+        let run = d.search(&layers, SchedulerKind::Ooo, None, trace);
+        assert!(run.results[0].as_ref().unwrap().evaluated > 1);
+        assert_eq!(d.store().unwrap().counters().hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

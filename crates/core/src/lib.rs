@@ -61,6 +61,7 @@
 mod driver;
 mod report;
 mod residency;
+mod tier;
 
 pub use driver::Flexer;
 pub use report::{LayerComparison, NetworkComparison, NetworkResult};

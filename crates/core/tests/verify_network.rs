@@ -42,7 +42,7 @@ fn every_network_verifies_on_both_presets() {
 #[test]
 fn validate_flag_matches_unvalidated_winners() {
     // Verification must be an observer: the same winners come out with
-    // and without it (the flag is excluded from the memo key).
+    // and without it (the flag is excluded from the cache key).
     let net = slices().remove(0);
     let arch = ArchConfig::preset(ArchPreset::Arch1);
     let plain = Flexer::new(arch.clone()).with_options(SearchOptions::quick());

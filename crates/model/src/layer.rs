@@ -40,6 +40,24 @@ impl fmt::Display for LayerSpecError {
 
 impl Error for LayerSpecError {}
 
+/// The largest byte count any one tensor of a layer (input, weights or
+/// output) may have at 4 bytes per element, the widest
+/// [`ElementSize`]: 1 TiB. Tiles never exceed their tensor, so every
+/// later byte count — working sets, DFG transfers, their sums over a
+/// layer's few hundred operations — stays far inside `u64`.
+const MAX_TENSOR_BYTES: u64 = 1 << 40;
+
+/// The largest multiply-accumulate count a layer may have: 2^56, so the
+/// MACs of a network of up to 256 such layers still sum inside `u64`.
+const MAX_MACS: u64 = 1 << 56;
+
+/// The product of `factors`, or `None` when it overflows `u64`.
+fn checked_product(factors: &[u32]) -> Option<u64> {
+    factors
+        .iter()
+        .try_fold(1u64, |acc, &f| acc.checked_mul(u64::from(f)))
+}
+
 /// The operator kind a [`ConvLayer`] describes.
 ///
 /// Every kind lowers to the same tiled datapath — tiles of inputs,
@@ -470,8 +488,11 @@ impl ConvLayerBuilder {
     /// # Errors
     ///
     /// Returns [`LayerSpecError`] when any dimension is zero, when the
-    /// kernel does not fit the padded input, or when the padding is so
-    /// large that the convolution would read only padding.
+    /// kernel does not fit the padded input, when the padding is so
+    /// large that the convolution would read only padding, or when the
+    /// layer is too large for its sizes to be counted exactly: a padded
+    /// extent beyond `u32`, a tensor of more than 1 TiB at 4 bytes per
+    /// element, or more than 2^56 MACs.
     pub fn build(self) -> Result<ConvLayer, LayerSpecError> {
         let l = &self.layer;
         if l.name.is_empty() {
@@ -494,13 +515,18 @@ impl ConvLayerBuilder {
                 "kernel extents and stride must be positive",
             ));
         }
-        if l.kernel_h > l.in_height + 2 * l.padding || l.kernel_w > l.in_width + 2 * l.padding {
+        let padded = |extent: u32| u64::from(extent) + 2 * u64::from(l.padding);
+        let (padded_h, padded_w) = (padded(l.in_height), padded(l.in_width));
+        if padded_h > u64::from(u32::MAX) || padded_w > u64::from(u32::MAX) {
             return Err(LayerSpecError::new(format!(
-                "kernel {}x{} larger than padded input {}x{}",
-                l.kernel_h,
-                l.kernel_w,
-                l.in_height + 2 * l.padding,
-                l.in_width + 2 * l.padding
+                "padded input {padded_h}x{padded_w} exceeds {} per side",
+                u32::MAX
+            )));
+        }
+        if u64::from(l.kernel_h) > padded_h || u64::from(l.kernel_w) > padded_w {
+            return Err(LayerSpecError::new(format!(
+                "kernel {}x{} larger than padded input {padded_h}x{padded_w}",
+                l.kernel_h, l.kernel_w
             )));
         }
         if l.padding >= l.kernel_h || l.padding >= l.kernel_w {
@@ -519,6 +545,26 @@ impl ConvLayerBuilder {
                     groups, l.in_channels, l.out_channels
                 )));
             }
+        }
+        let taps = [l.kernel_h, l.kernel_w];
+        let (c_g, oh, ow) = (l.in_channels_per_group(), l.out_height(), l.out_width());
+        for (tensor, elements) in [
+            ("input", [l.in_channels, l.in_height, l.in_width, 1]),
+            ("weight", [l.out_channels, c_g, taps[0], taps[1]]),
+            ("output", [l.out_channels, oh, ow, 1]),
+        ] {
+            let bytes = checked_product(&elements).and_then(|e| e.checked_mul(4));
+            if bytes.is_none_or(|b| b > MAX_TENSOR_BYTES) {
+                return Err(LayerSpecError::new(format!(
+                    "{tensor} tensor exceeds {MAX_TENSOR_BYTES} bytes at 4 bytes per element"
+                )));
+            }
+        }
+        let macs = checked_product(&[l.out_channels, c_g, oh, ow, taps[0], taps[1]]);
+        if macs.is_none_or(|m| m > MAX_MACS) {
+            return Err(LayerSpecError::new(format!(
+                "layer exceeds {MAX_MACS} multiply-accumulates"
+            )));
         }
         Ok(self.layer)
     }
@@ -734,5 +780,29 @@ mod tests {
         assert_eq!(l.kind(), LayerKind::Dense);
         assert_eq!(l.groups(), 1);
         assert_eq!(l.in_channels_per_group(), l.in_channels());
+    }
+
+    #[test]
+    fn sizes_that_could_overflow_are_rejected() {
+        let max = u32::MAX;
+        // A padded extent beyond u32.
+        let err = ConvLayer::new("tall", 8, max, 8, 8).unwrap_err();
+        assert!(err.to_string().contains("padded input"), "{err}");
+        // Each tensor past 1 TiB at 4 bytes per element.
+        for (c, h, w, k, tensor) in [
+            (1 << 16, 1 << 12, 1 << 12, 1, "input"),
+            (max, 14, 14, max, "input"),
+            (1 << 18, 1, 1, 1 << 18, "weight"),
+            (1, 1 << 13, 1 << 13, 1 << 14, "output"),
+        ] {
+            let err = ConvLayer::new("big", c, h, w, k).unwrap_err();
+            assert!(err.to_string().contains(tensor), "{tensor}: {err}");
+        }
+        // Every tensor in range, but too much work to count.
+        let err = ConvLayer::new("busy", 1 << 15, 1 << 11, 1 << 12, 1 << 15).unwrap_err();
+        assert!(err.to_string().contains("multiply-accumulates"), "{err}");
+        // The largest layer the test suites schedule still builds.
+        let huge = ConvLayerBuilder::new("huge", 4096, 1024, 1024, 4096).build();
+        assert!(huge.is_ok());
     }
 }

@@ -18,8 +18,7 @@
 //!    scheduler ([`StaticScheduler`], [`SchedulerKind::Static`])
 //!    produces the paper's baseline: the best static loop-order
 //!    schedule. [`Search`] is the one request value behind every
-//!    search — scheduler kind, memo cache, deadline and tracing are
-//!    its fields.
+//!    search — scheduler kind, deadline and tracing are its fields.
 //!
 //! # Examples
 //!
@@ -50,7 +49,6 @@ mod bound;
 mod combo;
 mod error;
 mod exec;
-mod memo;
 mod metric;
 mod ooo;
 mod priority;
@@ -64,13 +62,12 @@ pub mod wire;
 pub use bound::{lower_bound, Cutoff, Incumbent, ScheduleBound};
 pub use combo::{dataflow_class, generate_sets, ComboOptions, DataflowClass};
 pub use error::SchedError;
-pub use memo::MemoCache;
 pub use metric::Metric;
 pub use ooo::{EvalMode, OooScheduler};
 pub use priority::{PriorityPolicy, SetEvaluation};
 pub use program::{Command, Program, ProgramError};
 pub use search::{
-    search_layer, sweep_tilings, verify_layer_result, LayerSearchResult, MemoKey, SchedulePoint,
+    search_layer, sweep_tilings, verify_layer_result, LayerSearchResult, SchedulePoint,
     SchedulerKind, Search, SearchOptions, SearchOutcome, SearchRun, SpillPolicyChoice,
     TraceOptions,
 };

@@ -4,13 +4,13 @@
 use crate::bound::{lower_bound_resident, Cutoff, Incumbent};
 use crate::combo::ComboOptions;
 use crate::error::SchedError;
-use crate::memo::MemoCache;
 use crate::metric::Metric;
 use crate::ooo::{EvalMode, OooScheduler};
 use crate::priority::PriorityPolicy;
 use crate::static_sched::StaticScheduler;
 use crate::stats::SearchStats;
 use crate::verify::{verify_schedule_program, VerifyError};
+use crate::wire::canonical_key_bytes;
 use flexer_arch::{ArchConfig, SystolicModel};
 use flexer_model::ConvLayer;
 use flexer_sim::Schedule;
@@ -49,7 +49,7 @@ impl SpillPolicyChoice {
 /// How a traced [`Search`] records its run: timestamp source and
 /// instrumentation depth. Recording itself is switched on by setting
 /// [`Search::trace`]; untraced searches never record. Tracing never
-/// changes a winner, so it is no part of the memo key.
+/// changes a winner, so it is no part of a result's cache key.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceOptions {
     /// Timestamp source. The default logical clock makes traces
@@ -90,7 +90,7 @@ pub enum SearchOutcome {
 
 impl SearchOutcome {
     /// Whether this outcome proves the result optimal *and* the search
-    /// exhaustive — the only results the memo cache and the persistent
+    /// exhaustive — the only results a result cache or the persistent
     /// store are allowed to keep.
     #[must_use]
     pub fn is_exact(&self) -> bool {
@@ -146,8 +146,8 @@ pub struct SearchOptions {
     /// ([`crate::verify_schedule_program`]). A failure surfaces as
     /// [`SchedError::IllegalSchedule`] instead of a silently wrong
     /// result. Off by default (one extra scheduler run per layer).
-    /// Excluded from the memo key — memoized winners are re-verified
-    /// on replay.
+    /// Excluded from the cache key ([`crate::wire::canonical_key_bytes`])
+    /// — cached winners are re-verified when served.
     #[serde(default)]
     pub validate: bool,
     /// Branch-and-bound pruning (on by default): skip candidates whose
@@ -158,8 +158,9 @@ pub struct SearchOptions {
     /// schedules are byte-identical (see DESIGN.md §10).
     /// Force-disabled when [`SearchOptions::collect_points`] is set
     /// (point collection needs every candidate) or the metric is not
-    /// monotone in (latency, transfer). Excluded from the memo key —
-    /// the winner does not depend on it.
+    /// monotone in (latency, transfer). Excluded from the cache key
+    /// ([`crate::wire::canonical_key_bytes`]) — the winner does not
+    /// depend on it.
     #[serde(default)]
     pub prune: bool,
     /// Cross-layer SPM residency of this layer's tensors, assigned by
@@ -169,7 +170,7 @@ pub struct SearchOptions {
     /// reserved region instead of stored. Resident transfers occupy
     /// the DMA engine for the same span but move zero DRAM bytes, so
     /// they change the transfer side of every score, bound and
-    /// estimate — *included* in the memo key and the store
+    /// estimate — *included* in the cache key and the store
     /// fingerprint. Off (all-DRAM) by default.
     #[serde(default)]
     pub residency: Residency,
@@ -215,65 +216,6 @@ impl SearchOptions {
             ..Self::default()
         }
     }
-
-    /// Memoization key for a layer shape under these options.
-    pub(crate) fn memo_key(
-        &self,
-        layer: &ConvLayer,
-        arch: &ArchConfig,
-        kind: SchedulerKind,
-    ) -> MemoKey {
-        // The operator kind normalizes to (tag, groups): matmul lowers
-        // to exactly the geometry of the equivalent pointwise conv, so
-        // the two deliberately share memo (and store) entries.
-        let (kind_tag, kind_groups) = match layer.kind() {
-            flexer_model::LayerKind::Dense | flexer_model::LayerKind::Matmul => (0, 1),
-            flexer_model::LayerKind::Grouped { groups } => (1, groups),
-        };
-        MemoKey {
-            shape: [
-                layer.in_channels(),
-                layer.in_height(),
-                layer.in_width(),
-                layer.out_channels(),
-                layer.kernel_h(),
-                layer.kernel_w(),
-                layer.stride(),
-                layer.padding(),
-                kind_tag,
-                kind_groups,
-            ],
-            arch: arch.clone(),
-            kind,
-            metric: self.metric.fingerprint(),
-            priority: self.priority,
-            spill: self.spill,
-            combo: self.combo,
-            eval_mode: self.eval_mode,
-            tiling: self.tiling.clone(),
-            dataflows: self.dataflows.clone(),
-            residency: self.residency,
-        }
-    }
-}
-
-/// Memoization key of one layer search: the layer *shape* (not its
-/// name), the hardware configuration, the scheduler kind and every
-/// search knob. Derived `Hash + Eq` — distinct searches can never
-/// collide the way a formatted string key could.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MemoKey {
-    shape: [u32; 10],
-    arch: ArchConfig,
-    kind: SchedulerKind,
-    metric: (u8, u64),
-    priority: PriorityPolicy,
-    spill: SpillPolicyChoice,
-    combo: ComboOptions,
-    eval_mode: EvalMode,
-    tiling: TilingOptions,
-    dataflows: Vec<Dataflow>,
-    residency: Residency,
 }
 
 /// The `(latency, transfer)` outcome of one `(tiling, dataflow)` pair.
@@ -305,7 +247,8 @@ pub struct LayerSearchResult {
     /// Its metric score.
     pub score: f64,
     /// `(tiling, dataflow)` pairs the search resolved: scheduled to
-    /// completion, bound-pruned, or early-exited (1 on a memo hit).
+    /// completion, bound-pruned, or early-exited (1 on an in-batch
+    /// duplicate's replay).
     pub evaluated: usize,
     /// All explored points when
     /// [`SearchOptions::collect_points`] was set.
@@ -339,7 +282,7 @@ impl LayerSearchResult {
 
 /// Which scheduler a search (or a persisted result) ran: the paper's
 /// out-of-order scheduler or the static loop-order baseline. Part of
-/// the memo key and of the `flexer-store` fingerprint — the two
+/// the cache key and of the `flexer-store` fingerprint — the two
 /// schedulers' winners must never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
@@ -354,14 +297,9 @@ enum Role {
     /// Searched exhaustively; owns work items `span.0..span.1` of the
     /// global queue.
     Leader { span: (usize, usize) },
-    /// Same memo key as an earlier layer of this batch: replays the
+    /// Same cache key as an earlier layer of this batch: replays the
     /// leader's winner with a single scheduler run.
     Duplicate { leader: usize },
-    /// Memo-cache hit: replays the recorded winner directly.
-    Replay {
-        factors: TilingFactors,
-        dataflow: Dataflow,
-    },
 }
 
 /// How one `(layer, tiling, dataflow)` work item was resolved.
@@ -525,8 +463,8 @@ fn replay_one(
 }
 
 /// One Algorithm-1 search request: which scheduler runs, on what
-/// hardware, under which options, and with which memo cache, deadline
-/// and trace recording. [`Search::run`] is the one search entry point;
+/// hardware, under which options, and with which deadline and trace
+/// recording. [`Search::run`] is the one search entry point;
 /// the static baseline (§5) is the same search with a different
 /// [`SchedulerKind`]. [`search_layer`] is shorthand for the plain
 /// out-of-order search of one layer.
@@ -558,10 +496,6 @@ pub struct Search<'a> {
     pub arch: &'a ArchConfig,
     /// The search knobs.
     pub opts: &'a SearchOptions,
-    /// A shared memo cache: layers whose key it holds replay the
-    /// recorded winner with one scheduler run, and every exact winner
-    /// is recorded. `None` searches every layer.
-    pub cache: Option<&'a MemoCache>,
     /// An *anytime* deadline. Up to it the search is the exact
     /// branch-and-bound search; once it expires, unstarted candidates
     /// are left unresolved and each layer returns the best schedule
@@ -606,15 +540,14 @@ impl SearchRun {
 }
 
 impl<'a> Search<'a> {
-    /// The plain out-of-order search on `arch` under `opts`: no memo
-    /// cache, no deadline, no trace.
+    /// The plain out-of-order search on `arch` under `opts`: no
+    /// deadline, no trace.
     #[must_use]
     pub fn new(arch: &'a ArchConfig, opts: &'a SearchOptions) -> Self {
         Self {
             kind: SchedulerKind::Ooo,
             arch,
             opts,
-            cache: None,
             deadline: None,
             trace: None,
         }
@@ -626,9 +559,8 @@ impl<'a> Search<'a> {
     /// Workers pull triples off a single shared index, so a network
     /// search never serializes on layer boundaries: the last straggler
     /// tiling of layer *i* overlaps with layer *i+1*'s search. Layers
-    /// that hit the memo cache, or that repeat an earlier in-batch
-    /// shape, replay the winner with one scheduler run instead of
-    /// contributing work items. The reduction per layer is
+    /// that repeat an earlier in-batch shape replay the winner with one
+    /// scheduler run instead of contributing work items. The reduction per layer is
     /// deterministic in work order regardless of thread count, so the
     /// results equal per-layer searches.
     ///
@@ -644,7 +576,6 @@ impl<'a> Search<'a> {
             kind,
             arch,
             opts,
-            cache,
             deadline,
             trace,
         } = *self;
@@ -664,19 +595,15 @@ impl<'a> Search<'a> {
             guard
         });
 
-        // Classify layers: memo replays (§3's "memory function"), in-batch
-        // duplicates, and leaders that contribute work to the global queue.
-        // Point collection forces a full search of every layer.
-        let mut seen: HashMap<MemoKey, usize> = HashMap::new();
+        // Classify layers: in-batch duplicates, and leaders that
+        // contribute work to the global queue. Point collection forces a
+        // full search of every layer.
+        let mut seen: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut roles: Vec<Role> = Vec::with_capacity(layers.len());
         let mut work: Vec<(usize, TilingFactors, Dataflow)> = Vec::new();
         for (li, layer) in layers.iter().enumerate() {
             if !opts.collect_points {
-                let key = opts.memo_key(layer, arch, kind);
-                if let Some((factors, dataflow)) = cache.and_then(|c| c.get(&key)) {
-                    roles.push(Role::Replay { factors, dataflow });
-                    continue;
-                }
+                let key = canonical_key_bytes(layer, arch, opts, kind);
                 if let Some(&leader) = seen.get(&key) {
                     roles.push(Role::Duplicate { leader });
                     continue;
@@ -911,15 +838,11 @@ impl<'a> Search<'a> {
                     match role {
                         Role::Leader { .. } => "leader",
                         Role::Duplicate { .. } => "duplicate",
-                        Role::Replay { .. } => "replay",
                     },
                 );
                 guard
             });
             let resolved = match *role {
-                Role::Replay { factors, dataflow } => replay_one(
-                    kind, layer, arch, &model, factors, dataflow, opts, &mut lane0,
-                ),
                 Role::Duplicate { leader } => match &out[leader] {
                     // The duplicate inherits the leader's outcome: a
                     // deadline-cut leader's winner is not proven optimal
@@ -1015,22 +938,13 @@ impl<'a> Search<'a> {
                                 // Every unresolved candidate provably
                                 // cannot beat the result — but the
                                 // search was still not exhaustive, so
-                                // it is not cached as exact.
+                                // it is not reported as exact.
                                 SearchOutcome::Anytime { gap: 1.0 }
                             } else {
                                 SearchOutcome::Anytime {
                                     gap: score / cut_min_bound,
                                 }
                             };
-                            if outcome.is_exact() {
-                                if let Some(c) = cache {
-                                    c.insert(
-                                        opts.memo_key(layer, arch, kind),
-                                        work[i].1,
-                                        work[i].2,
-                                    );
-                                }
-                            }
                             Ok(LayerSearchResult {
                                 layer: layer.name().to_owned(),
                                 schedule,
@@ -1350,53 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_cache_replays_winner() {
-        let (opts, ar, cache) = (SearchOptions::quick(), arch(), MemoCache::new());
-        let cached = Search {
-            cache: Some(&cache),
-            ..Search::new(&ar, &opts)
-        };
-        let full = cached.run_layer(&layer()).unwrap();
-        assert!(full.evaluated > 1);
-        assert_eq!(cache.len(), 1);
-        // Same shape, different name: memo hit.
-        let hit = cached.run_layer(&layer().with_name("other")).unwrap();
-        assert_eq!(hit.evaluated, 1);
-        assert_eq!(hit.factors, full.factors);
-        assert_eq!(hit.dataflow, full.dataflow);
-        assert_eq!(hit.schedule.latency(), full.schedule.latency());
-        assert_eq!(hit.score, full.score);
-    }
-
-    #[test]
-    fn memo_key_distinguishes_options() {
-        let a = SearchOptions::quick();
-        let mut b = SearchOptions::quick();
-        b.metric = Metric::Transfer;
-        let mut c = SearchOptions::quick();
-        c.eval_mode = EvalMode::CloneBaseline;
-        let l = layer();
-        let ar = arch();
-        assert_ne!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            b.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
-        assert_ne!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            c.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
-        assert_ne!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            a.memo_key(&l, &ar, SchedulerKind::Static)
-        );
-        // The key tracks the shape, not the name.
-        assert_eq!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            a.memo_key(&l.clone().with_name("alias"), &ar, SchedulerKind::Ooo)
-        );
-    }
-
-    #[test]
     fn sweep_produces_both_scatters() {
         let opts = SearchOptions::quick();
         let (ooo, st) = sweep_tilings(&layer(), &arch(), &opts).unwrap();
@@ -1431,42 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_points_bypasses_memo_replay() {
-        let mut opts = SearchOptions::quick();
-        let cache = MemoCache::new();
-        let _ = Search {
-            cache: Some(&cache),
-            ..Search::new(&arch(), &opts)
-        }
-        .run_layer(&layer())
-        .unwrap();
-        assert_eq!(cache.len(), 1);
-        opts.collect_points = true;
-        let full = Search {
-            cache: Some(&cache),
-            ..Search::new(&arch(), &opts)
-        }
-        .run_layer(&layer())
-        .unwrap();
-        assert!(full.evaluated > 1, "memo must not shortcut a point sweep");
-        assert!(!full.points.is_empty());
-    }
-
-    #[test]
-    fn ooo_and_static_memo_entries_do_not_collide() {
-        let (opts, ar, cache) = (SearchOptions::quick(), arch(), MemoCache::new());
-        for kind in [SchedulerKind::Ooo, SchedulerKind::Static] {
-            let cached = Search {
-                kind,
-                cache: Some(&cache),
-                ..Search::new(&ar, &opts)
-            };
-            cached.run_layer(&layer()).unwrap();
-        }
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn validated_searches_verify_every_winner() {
         let mut opts = SearchOptions::quick();
         opts.validate = true;
@@ -1481,49 +1312,6 @@ mod tests {
         .run_layer(&layer())
         .unwrap();
         assert_eq!(s.stats.schedules_verified, 1);
-    }
-
-    #[test]
-    fn validated_memo_replays_are_reverified() {
-        let mut opts = SearchOptions::quick();
-        opts.validate = true;
-        let (ar, cache) = (arch(), MemoCache::new());
-        let cached = Search {
-            cache: Some(&cache),
-            ..Search::new(&ar, &opts)
-        };
-        cached.run_layer(&layer()).unwrap();
-        let hit = cached.run_layer(&layer().with_name("other")).unwrap();
-        assert_eq!(hit.evaluated, 1, "memo hit replays the winner");
-        assert_eq!(hit.stats.schedules_verified, 1, "replays are verified too");
-    }
-
-    #[test]
-    fn validate_is_not_part_of_the_memo_key() {
-        let a = SearchOptions::quick();
-        let mut b = SearchOptions::quick();
-        b.validate = true;
-        let l = layer();
-        let ar = arch();
-        assert_eq!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            b.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
-    }
-
-    #[test]
-    fn prune_is_not_part_of_the_memo_key() {
-        // Pruning never changes the winner, so memo entries recorded
-        // with it on replay correctly with it off and vice versa.
-        let a = SearchOptions::quick();
-        let mut b = SearchOptions::quick();
-        b.prune = false;
-        let l = layer();
-        let ar = arch();
-        assert_eq!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            b.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
     }
 
     /// Number of `Enter` events named `name` across all lanes.
@@ -1818,38 +1606,6 @@ mod tests {
         assert!(
             resident.schedule.transfer_bytes() < plain.schedule.transfer_bytes(),
             "residency must strictly cut DRAM traffic"
-        );
-    }
-
-    #[test]
-    fn residency_is_part_of_the_memo_key() {
-        let a = SearchOptions::quick();
-        let mut b = SearchOptions::quick();
-        b.residency.input_resident = true;
-        let l = layer();
-        let ar = arch();
-        assert_ne!(
-            a.memo_key(&l, &ar, SchedulerKind::Ooo),
-            b.memo_key(&l, &ar, SchedulerKind::Ooo)
-        );
-    }
-
-    #[test]
-    fn anytime_results_are_not_memoized() {
-        let opts = SearchOptions::quick();
-        let cache = MemoCache::new();
-        let r = Search {
-            cache: Some(&cache),
-            deadline: Some(Instant::now()),
-            ..Search::new(&arch(), &opts)
-        }
-        .run_layer(&layer())
-        .unwrap();
-        assert!(!r.is_exact());
-        assert_eq!(
-            cache.len(),
-            0,
-            "a non-exhaustive winner must not poison the memo cache"
         );
     }
 

@@ -3,14 +3,14 @@
 //!
 //! Builds on [`flexer_sim::wire`]'s primitives. Two jobs:
 //!
-//! * [`canonical_key_bytes`] — a byte string covering exactly the
-//!   fields of the in-memory [`MemoKey`](crate::MemoKey): the layer
-//!   *shape* (not its name), the architecture, the scheduler kind and
-//!   every winner-relevant search knob. `flexer-store` hashes these
-//!   bytes into its content address, so two searches share a store
-//!   entry iff they would share a memo entry. `validate`, `prune`
-//!   and `threads` are deliberately absent — they never change a
-//!   winner.
+//! * [`canonical_key_bytes`] — the one cache key of a layer search:
+//!   the layer *shape* (not its name), the architecture, the scheduler
+//!   kind and every winner-relevant search knob. A batch search groups
+//!   its in-batch duplicates by these bytes, and `flexer-store` hashes
+//!   them into the content address that keys both its entries and the
+//!   driver's in-process result tier. `validate`, `prune`, `threads`
+//!   and `collect_points` are deliberately absent — they never change
+//!   a winner.
 //! * [`encode_layer_result`] / [`decode_layer_result`] — a complete
 //!   [`LayerSearchResult`] round trip, bit-exact including `f64`
 //!   scores, so a warm-started result is indistinguishable from the
@@ -269,9 +269,10 @@ pub fn decode_layer_result(bytes: &[u8]) -> Result<LayerSearchResult, WireError>
 }
 
 /// The canonical byte encoding of one search's identity: everything
-/// the in-memory memo key covers, and nothing it excludes. The store
-/// fingerprints these bytes (plus its own format version) into the
-/// entry's content address.
+/// that can change the winner, and nothing that cannot. In-batch
+/// duplicates are grouped by these bytes, and the store fingerprints
+/// them (plus its own format version) into the content address that
+/// keys its entries and the driver's in-process result tier.
 #[must_use]
 pub fn canonical_key_bytes(
     layer: &ConvLayer,
@@ -280,7 +281,7 @@ pub fn canonical_key_bytes(
     kind: SchedulerKind,
 ) -> Vec<u8> {
     let mut w = WireWriter::new();
-    // Layer *shape*, not name — same field order as `MemoKey::shape`.
+    // Layer *shape*, not name.
     // The operator kind is normalized to (tag, groups): a matmul lowers
     // to exactly the geometry of the equivalent pointwise conv, so the
     // two deliberately alias to one store entry ((0, 1), like Dense);
@@ -458,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn key_bytes_track_memo_relevant_fields_only() {
+    fn key_bytes_track_winner_relevant_fields_only() {
         let l = layer();
         let ar = arch();
         let base = SearchOptions::quick();
@@ -473,6 +474,12 @@ mod tests {
         );
         assert_ne!(
             canonical_key_bytes(&l, &ar, &base, SchedulerKind::Static),
+            base_bytes
+        );
+        let mut eval_mode = base.clone();
+        eval_mode.eval_mode = crate::EvalMode::CloneBaseline;
+        assert_ne!(
+            canonical_key_bytes(&l, &ar, &eval_mode, SchedulerKind::Ooo),
             base_bytes
         );
         let renamed = l.clone().with_name("alias");
@@ -503,7 +510,7 @@ mod tests {
         neutral.validate = true;
         neutral.prune = false;
         neutral.threads = 7;
-        neutral.collect_points = false;
+        neutral.collect_points = true;
         assert_eq!(
             canonical_key_bytes(&l, &ar, &neutral, SchedulerKind::Ooo),
             base_bytes

@@ -71,7 +71,7 @@ fn new_kinds_search_deterministically_on_every_arch() {
 fn matmul_winner_is_byte_identical_to_its_pointwise_lowering() {
     // ConvLayer::matmul(m, k, n) lowers to a 1x1 conv with k input
     // channels over an m x 1 spatial extent producing n channels. The
-    // two share a memo/store key, so their searched winners must be
+    // two share a cache/store key, so their searched winners must be
     // byte-identical — the aliasing proof.
     let mm = ConvLayer::matmul("mm", 196, 32, 48).unwrap();
     let pw = ConvLayerBuilder::new("pw", 32, 196, 1, 48).build().unwrap();

@@ -5,8 +5,8 @@
 //! the server is started with a persistent store, the engine opens one
 //! [`ScheduleStore`] handle and every driver and the replication ops
 //! share it — entries are content-addressed, so the drivers never
-//! collide, and one LRU recency sees every hit. One driver's memo
-//! cache warms every later request with the same configuration.
+//! collide, and one LRU recency sees every hit. One driver's result
+//! tier warms every later request with the same configuration.
 
 use crate::protocol::{hex_encode, ok_response, ErrorKind, Mode, Obj, Op, OptionsName, Request};
 use flexer::prelude::*;
@@ -112,8 +112,7 @@ impl Deadline {
 
 /// One driver per distinct request configuration. `verify` selects a
 /// twin with [`SearchOptions::validate`] forced on, so verified and
-/// unverified requests never share memoized winners of different
-/// provenance.
+/// unverified requests never share one driver's result tier.
 type DriverKey = (ArchPreset, OptionsName, bool);
 
 /// Aggregate counters over every residency-planned network the engine
@@ -554,7 +553,7 @@ impl Engine {
     /// `"gap"`, and the response carries a top-level `"partial"` flag
     /// when any layer was cut.
     ///
-    /// Anytime results bypass the persistent store and the memo cache
+    /// Anytime results bypass the persistent store and the result tier
     /// in both directions — only proven optima are durable — even when
     /// the request carries no deadline, so the search runs on the
     /// driver's architecture and options but not through the driver.
@@ -776,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_anytime_schedule_bypasses_store_and_memo() {
+    fn unbounded_anytime_schedule_bypasses_store_and_tier() {
         let dir = std::env::temp_dir().join(format!(
             "flexer-serve-anytime-{}-{:?}",
             std::process::id(),
@@ -786,8 +785,8 @@ mod tests {
         let engine = Engine::with_store(dir.clone(), None);
         let req = schedule_req(r#","mode":"anytime""#);
         let first = engine.run(&req, &Deadline::unbounded()).unwrap();
-        // A second run would replay a memoized winner (one evaluated
-        // candidate) if the first had gone through the memo cache.
+        // A second run would be a tier or store hit if the first had
+        // left its winner there.
         let second = engine.run(&req, &Deadline::unbounded()).unwrap();
         assert_eq!(first, second);
         assert_eq!(engine.store_entries(), Some(0), "anytime result persisted");

@@ -485,6 +485,7 @@ fn stats_response(shared: &Shared, id: Option<&str>) -> String {
     if let Some(store) = shared.engine.store_summary() {
         let mut s = Obj::new();
         s.u64("hits", store.hits)
+            .u64("memory_hits", store.memory_hits)
             .u64("misses", store.misses)
             .u64("evictions", store.evictions)
             .u64("corrupt", store.corrupt)

@@ -41,7 +41,7 @@ pub enum Metric {
 impl Metric {
     /// A hashable fingerprint: the variant discriminant plus the
     /// weight's bit pattern (the `f64` makes the type itself neither
-    /// `Eq` nor `Hash`). Used by the search memo key and the schedule
+    /// `Eq` nor `Hash`). Used by the search cache key and the schedule
     /// store's content address.
     #[must_use]
     pub fn fingerprint(&self) -> (u8, u64) {

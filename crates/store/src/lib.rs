@@ -1,12 +1,14 @@
 //! Persistent, content-addressed schedule cache.
 //!
 //! Flexer's value is a one-time, expensive search per (layer, arch,
-//! options); the in-memory [`MemoCache`](flexer_sched::MemoCache)
-//! amortizes it within a process but dies with the driver. This crate
-//! is the cross-process memo: a directory of schedule entries keyed by
-//! a stable [`Fingerprint`] of the layer shape, the architecture, the
-//! winner-relevant search options, the scheduler kind and the store
-//! format version.
+//! options). This crate keeps the winners across processes: a
+//! directory of schedule entries keyed by a stable [`Fingerprint`] of
+//! the layer shape, the architecture, the winner-relevant search
+//! options, the scheduler kind and the store format version. The
+//! `flexer` driver keeps a bounded in-process tier of the same entries
+//! under the same fingerprints in front of the store, and reports
+//! each answer it serves from there through
+//! [`ScheduleStore::note_memory_hit`].
 //!
 //! Design points (DESIGN.md §12):
 //!
@@ -34,7 +36,9 @@
 //!   in the [`ScheduleStore`] handle, so the supported pattern is one
 //!   handle per directory per process, shared by every caller.
 //! * **Accounted** — a handle's lifetime hit/miss/evict/corrupt
-//!   counters are [`ScheduleStore::counters`].
+//!   counters are [`ScheduleStore::counters`]; `hits` counts every
+//!   stored winner served, `memory_hits` the part served from a
+//!   caller's in-memory copy.
 //!
 //! # Examples
 //!

@@ -94,8 +94,12 @@ pub enum Lookup {
 /// Snapshot of a store's lifetime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Lookups answered from disk.
+    /// Lookups that served a stored winner: answered from disk, or
+    /// from a caller's in-memory copy of an entry read back earlier
+    /// ([`ScheduleStore::note_memory_hit`]).
     pub hits: u64,
+    /// The part of `hits` served from a caller's in-memory copy.
+    pub memory_hits: u64,
     /// Lookups that found no entry.
     pub misses: u64,
     /// Entries deleted by the LRU capacity pass.
@@ -135,13 +139,13 @@ pub enum Ingest {
     Rejected(CorruptKind),
 }
 
-/// In-memory recency: fingerprint hex → monotone sequence number.
+/// In-memory recency: fingerprint → monotone sequence number.
 /// Files unknown to the map (written by an earlier process) fall back
 /// to their modification time, ordered before every in-process touch.
 #[derive(Debug, Default)]
 struct Recency {
     next: u64,
-    seq: HashMap<String, u64>,
+    seq: HashMap<Fingerprint, u64>,
 }
 
 /// A content-addressed, size-bounded, crash-safe schedule cache rooted
@@ -157,6 +161,7 @@ pub struct ScheduleStore {
     dir: PathBuf,
     capacity_bytes: u64,
     hits: AtomicU64,
+    memory_hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     corrupt: AtomicU64,
@@ -218,6 +223,7 @@ impl ScheduleStore {
             dir,
             capacity_bytes,
             hits: AtomicU64::new(0),
+            memory_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -230,6 +236,7 @@ impl ScheduleStore {
     pub fn counters(&self) -> StoreCounters {
         StoreCounters {
             hits: self.hits.load(Ordering::Relaxed),
+            memory_hits: self.memory_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
@@ -305,16 +312,23 @@ impl ScheduleStore {
                     Lookup::Hit(repaired)
                 }
                 None => {
-                    self.recency
-                        .lock()
-                        .expect("recency lock")
-                        .seq
-                        .remove(&fp.hex());
+                    self.recency.lock().expect("recency lock").seq.remove(&fp);
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
                     Lookup::Corrupt(kind)
                 }
             },
         }
+    }
+
+    /// Records that a caller served the entry under `fp` from its own
+    /// in-memory copy of an earlier [`ScheduleStore::get`] hit: counts
+    /// a hit (and a memory hit) and refreshes the entry's LRU recency
+    /// exactly as a disk hit does, so the entries served most are the
+    /// last the capacity pass evicts. Touches no file.
+    pub fn note_memory_hit(&self, fp: Fingerprint) {
+        self.touch(fp);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.memory_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Atomically moves the entry at `path` to a unique quarantine
@@ -525,7 +539,7 @@ impl ScheduleStore {
         let mut r = self.recency.lock().expect("recency lock");
         r.next += 1;
         let seq = r.next;
-        r.seq.insert(fp.hex(), seq);
+        r.seq.insert(fp, seq);
     }
 
     /// `(stem, path, size, mtime nanos)` of every entry file.
@@ -565,9 +579,11 @@ impl ScheduleStore {
         let recency = self.recency.lock().expect("recency lock");
         // Sort key: known entries by in-process recency, unknown ones
         // before them by mtime.
-        entries.sort_by_key(|(stem, _, _, mtime)| match recency.seq.get(stem) {
-            Some(&seq) => (1u8, u128::from(seq)),
-            None => (0u8, *mtime),
+        entries.sort_by_key(|(stem, _, _, mtime)| {
+            match Fingerprint::from_hex(stem).and_then(|fp| recency.seq.get(&fp)) {
+                Some(&seq) => (1u8, u128::from(seq)),
+                None => (0u8, *mtime),
+            }
         });
         drop(recency);
         for (stem, path, size, _) in entries {
@@ -576,7 +592,9 @@ impl ScheduleStore {
             }
             if fs::remove_file(&path).is_ok() {
                 total = total.saturating_sub(size);
-                self.recency.lock().expect("recency lock").seq.remove(&stem);
+                if let Some(fp) = Fingerprint::from_hex(&stem) {
+                    self.recency.lock().expect("recency lock").seq.remove(&fp);
+                }
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -770,6 +788,25 @@ mod tests {
         assert!(store.contains(fps[0]), "recently used entry kept");
         assert!(!store.contains(fps[1]), "LRU entry evicted");
         assert!(store.contains(fps[2]), "new entry kept");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memory_hits_count_as_hits_and_refresh_recency() {
+        let dir = scratch_dir("memory-hit");
+        let result = sample_result();
+        let entry_bytes = (HEADER_LEN + encode_layer_result(&result).len()) as u64;
+        let store = ScheduleStore::with_capacity(&dir, entry_bytes * 2).unwrap();
+        let fps: Vec<Fingerprint> = (0..3u8).map(|i| fingerprint_of_key_bytes(&[i])).collect();
+        store.put(fps[0], &result).unwrap();
+        store.put(fps[1], &result).unwrap();
+        // Served from a caller's copy: fps[1] becomes the LRU victim.
+        store.note_memory_hit(fps[0]);
+        store.put(fps[2], &result).unwrap();
+        assert!(store.contains(fps[0]), "memory-served entry kept");
+        assert!(!store.contains(fps[1]), "LRU entry evicted");
+        let c = store.counters();
+        assert_eq!((c.hits, c.memory_hits, c.misses), (1, 1, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 

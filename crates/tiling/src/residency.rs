@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// (instead of being stored to DRAM).
 ///
 /// The default is fully off — both flags false — which reproduces
-/// per-layer scheduling byte-for-byte. The flags are part of the memo
+/// per-layer scheduling byte-for-byte. The flags are part of the cache
 /// key and the store fingerprint: a schedule computed under one
 /// residency is never replayed under another.
 ///

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         comparison.transfer_reduction()
     );
     println!(
-        "memoized {} distinct layer shapes across {} layers",
+        "held {} distinct layer-shape winners across {} layers",
         driver.cached_shapes(),
         network.layers().len()
     );

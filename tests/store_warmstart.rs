@@ -245,7 +245,7 @@ fn replicated_store_warm_starts_node_b_without_search() {
         );
     }
 
-    // A fresh driver on node B: empty memo, so every answer can only
+    // A fresh driver on node B: empty result tier, so every answer can only
     // come from the replicated store.
     let node_b = driver_on(&b);
     for (net, cold) in nets.iter().zip(&cold) {
