@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: formatted, release build, full test suite, lint-clean at
-# -D warnings, differential verification, benchmark rows, then serving,
-# fleet and chaos gates. Every step passes or fails by its exit code.
+# -D warnings, rustdoc without a broken link, differential
+# verification, benchmark rows, then serving, fleet and chaos gates.
+# Every step passes or fails by its exit code.
 set -euo pipefail
 cd "$(dirname "$0")"
 cargo fmt --all --check
@@ -38,7 +39,13 @@ python3 flexbench/selftest.py
 #   standalone node and reaches replica parity
 #   (crates/fleet/tests/fleet_roundtrip.rs).
 cargo test -q --workspace
+# Hostile-input sweep again in release, where overflow checks are off
+# and a wrapped size would pass silently instead of panicking.
+cargo test -q --release -p flexer-serve --test hostile_shapes
 cargo clippy --workspace -- -D warnings
+# Rustdoc gate: no intra-doc link dangles after a deletion or points at
+# a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 ./target/release/verify
 # Benchmark rows: one argument-free run writes every BENCH_PR*.json
 # and the sample search trace (trace.json) under FLEXER_BENCH_DIR,
@@ -49,7 +56,9 @@ FLEXER_BENCH_DIR=.bench-ci FLEXER_BENCH_ITERS="${FLEXER_BENCH_ITERS:-3}" \
     ./target/release/bench_json
 # Serving gate: boot the daemon on a loopback port with a store of its
 # own, round-trip the client, then drain gracefully. flexer-cli exits
-# non-zero unless the server answered {"ok":true}.
+# non-zero unless the server answered {"ok":true}. compare and verify
+# run on the driver schedule warmed, so their layers are tier and
+# store hits; verify re-verifies each one.
 rm -rf .flexer-serve-store-ci .flexer-serve-ci.port
 ./target/release/flexer-serve --addr 127.0.0.1:0 \
     --port-file .flexer-serve-ci.port --store .flexer-serve-store-ci &
@@ -58,6 +67,8 @@ for _ in $(seq 100); do [ -s .flexer-serve-ci.port ] && break; sleep 0.1; done
 port="$(cat .flexer-serve-ci.port)"
 ./target/release/flexer-cli --addr "127.0.0.1:$port" health
 ./target/release/flexer-cli --addr "127.0.0.1:$port" schedule squeezenet >/dev/null
+./target/release/flexer-cli --addr "127.0.0.1:$port" compare squeezenet >/dev/null
+./target/release/flexer-cli --addr "127.0.0.1:$port" verify squeezenet >/dev/null
 ./target/release/flexer-cli --addr "127.0.0.1:$port" stats
 ./target/release/flexer-cli --addr "127.0.0.1:$port" shutdown
 wait "$serve_pid"

@@ -263,7 +263,7 @@ impl ArchConfig {
     /// Whether the configuration was built from heterogeneous core
     /// classes.
     #[must_use]
-    pub fn is_heterogeneous(&self) -> bool {
+    fn is_heterogeneous(&self) -> bool {
         !self.core_classes.is_empty()
     }
 

@@ -40,9 +40,7 @@
 #![warn(missing_docs)]
 
 mod config;
-mod energy;
 mod perf;
 
 pub use config::{ArchConfig, ArchConfigBuilder, ArchConfigError, ArchPreset, CoreClass};
-pub use energy::{EnergyBreakdown, EnergyModel};
 pub use perf::{ConvTileDims, PerfModel, SystolicModel};

@@ -28,9 +28,9 @@ static BOOT_ID: AtomicU32 = AtomicU32::new(0);
 /// duration counts the events its search recorded — a deterministic
 /// measure of search effort for a given layer shape and option set,
 /// byte-stable across runs and machines. At the summary trace detail
-/// the soak's shape pool measures ~19 ticks per `layer` span today
+/// the soak's shape pool measures 15 ticks per `layer` span today
 /// (per-candidate events live in their own lanes); the thresholds
-/// below hold ~5–13× headroom so routine counter additions pass while
+/// below hold ~7–17× headroom so routine counter additions pass while
 /// an effort explosion inside the layer span — phases re-running,
 /// per-candidate work leaking into the summary lane — trips the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,7 +41,7 @@ use std::time::Instant;
 pub struct Flexer {
     arch: ArchConfig,
     options: SearchOptions,
-    tier: ResultTier,
+    tier: Arc<ResultTier>,
     store: Option<Arc<ScheduleStore>>,
 }
 
@@ -52,7 +52,7 @@ impl Flexer {
         Self {
             arch,
             options: SearchOptions::default(),
-            tier: ResultTier::new(),
+            tier: Arc::new(ResultTier::new()),
             store: None,
         }
     }
@@ -64,7 +64,7 @@ impl Flexer {
     #[must_use]
     pub fn with_options(mut self, options: SearchOptions) -> Self {
         self.options = options;
-        self.tier = ResultTier::new();
+        self.tier = Arc::new(ResultTier::new());
         self
     }
 
@@ -104,6 +104,25 @@ impl Flexer {
     #[must_use]
     pub fn options(&self) -> &SearchOptions {
         &self.options
+    }
+
+    /// This driver with [`SearchOptions::validate`] forced on, for one
+    /// request: every winner it returns, searched or served from the
+    /// tier or the store, is verified on the SPM abstract machine
+    /// first. It shares this driver's result tier and store. Their
+    /// key, the store fingerprint, excludes `validate`, and every hit
+    /// is re-verified under it, so verified and unverified requests
+    /// read and warm the same entries.
+    #[must_use]
+    pub fn validating(&self) -> Flexer {
+        let mut options = self.options.clone();
+        options.validate = true;
+        Flexer {
+            arch: self.arch.clone(),
+            options,
+            tier: Arc::clone(&self.tier),
+            store: self.store.clone(),
+        }
     }
 
     /// Number of winners the driver's in-process result tier holds.
@@ -172,10 +191,10 @@ impl Flexer {
     }
 
     /// [`Flexer::search`] for an explicit request: the residency
-    /// planner searches reduced-SPM variants of [`Flexer::arch`], and
-    /// verification forces [`SearchOptions::validate`]. The store
-    /// fingerprint, which keys the tier too, covers the architecture
-    /// and the options, so sharing the tier and the store stays sound.
+    /// planner searches reduced-SPM variants of [`Flexer::arch`]. The
+    /// store fingerprint, which keys the tier too, covers the
+    /// architecture and the options, so sharing the tier and the store
+    /// stays sound.
     fn search_on(&self, request: Search<'_>, layers: &[ConvLayer]) -> SearchRun {
         if request.deadline.is_some() {
             return request.run(layers);
@@ -526,7 +545,8 @@ impl Flexer {
     /// differential verification: every winning schedule is re-run,
     /// lowered to a command program, executed on the `flexer-sim` SPM
     /// abstract machine and cross-checked against its analytical
-    /// schedule, regardless of [`SearchOptions::validate`].
+    /// schedule, regardless of [`SearchOptions::validate`]: it is
+    /// [`Flexer::compare_network`] on [`Flexer::validating`].
     ///
     /// Returns the verified comparison; a scheduler bug surfaces as
     /// [`SchedError::IllegalSchedule`] instead of a wrong number in a
@@ -537,21 +557,7 @@ impl Flexer {
     /// As [`Flexer::schedule_network`], plus
     /// [`SchedError::IllegalSchedule`] on any verification failure.
     pub fn verify_network(&self, network: &Network) -> Result<NetworkComparison, SchedError> {
-        let mut options = self.options.clone();
-        options.validate = true;
-        let run = |kind| {
-            let request = Search {
-                kind,
-                ..Search::new(&self.arch, &options)
-            };
-            let run = self.search_on(request, network.layers());
-            run.into_result()
-                .map(|layers| NetworkResult::new(network.name(), layers))
-        };
-        Ok(NetworkComparison::new(
-            run(SchedulerKind::Ooo)?,
-            run(SchedulerKind::Static)?,
-        ))
+        self.validating().compare_network(network)
     }
 }
 

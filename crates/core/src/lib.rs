@@ -84,17 +84,14 @@ pub mod prelude {
     pub use crate::residency::{
         replay_ledger, EdgeDecision, LedgerOp, ResidencyPlan, ResidentNetworkResult,
     };
-    pub use flexer_arch::{
-        ArchConfig, ArchConfigBuilder, ArchPreset, EnergyBreakdown, EnergyModel, PerfModel,
-        SystolicModel,
-    };
+    pub use flexer_arch::{ArchConfig, ArchConfigBuilder, ArchPreset, PerfModel, SystolicModel};
     pub use flexer_model::{networks, scale_spatial, ConvLayer, ConvLayerBuilder, Network};
     pub use flexer_sched::{
         EvalMode, Metric, PriorityPolicy, SchedulerKind, Search, SearchOptions, SearchOutcome,
         SearchRun, SearchStats, SpillPolicyChoice, TraceOptions,
     };
     pub use flexer_sim::{
-        onchip_reference_traffic, schedule_energy, schedule_trace, validate_schedule, TrafficClass,
+        onchip_reference_traffic, schedule_trace, validate_schedule, TrafficClass,
     };
     pub use flexer_store::{Lookup, ScheduleStore, StoreCounters};
     pub use flexer_tiling::{Dataflow, Dfg, TileKind, TilingFactors, TilingOptions};

@@ -139,7 +139,7 @@ impl HashRing {
     /// of `key` — the key's replica set (owner first), and the
     /// failover order a router walks when the owner is unreachable.
     #[must_use]
-    pub fn successors_of(&self, key: u128, n: usize) -> Vec<&str> {
+    fn successors_of(&self, key: u128, n: usize) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::with_capacity(n.min(self.nodes.len()));
         if self.points.is_empty() || n == 0 {
             return out;

@@ -172,7 +172,7 @@ impl Router {
     /// failover on transport errors, bounded retries + backoff per
     /// node. `shutdown` is refused — it is the one non-idempotent op,
     /// and draining a whole fleet is the caller's explicit decision
-    /// ([`Router::fan_out`] each member instead).
+    /// (send it to each member instead).
     ///
     /// # Errors
     ///
@@ -211,21 +211,6 @@ impl Router {
                 "router has no member addresses",
             )
         }))
-    }
-
-    /// Sends `line` to *every* member (no failover, retries apply per
-    /// member) and returns each member's outcome in member order —
-    /// for health/stats sweeps and explicit fleet-wide shutdown.
-    #[must_use]
-    pub fn fan_out(&self, line: &str) -> Vec<(String, io::Result<String>)> {
-        self.addrs
-            .iter()
-            .map(|addr| {
-                let result =
-                    roundtrip_retrying(addr, line, 1 + self.retries, self.backoff).map(|(r, _)| r);
-                (addr.clone(), result)
-            })
-            .collect()
     }
 }
 

@@ -169,15 +169,6 @@ impl Supervisor {
         &self.members
     }
 
-    /// The resolved address of the named member.
-    #[must_use]
-    pub fn addr_of(&self, name: &str) -> Option<&str> {
-        self.members
-            .iter()
-            .find(|m| m.spec.name == name)
-            .map(|m| m.addr.as_str())
-    }
-
     fn member_mut(&mut self, name: &str) -> Result<&mut Member, String> {
         self.members
             .iter_mut()

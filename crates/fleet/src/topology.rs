@@ -38,7 +38,7 @@
 //! so a follower that evicted an entry simply recomputes or fails over
 //! — degradation, never divergence.
 
-use crate::ring::{HashRing, DEFAULT_SEED, DEFAULT_VNODES};
+use crate::ring::{DEFAULT_SEED, DEFAULT_VNODES};
 use flexer_store::DEFAULT_CAPACITY_BYTES;
 use flexer_trace::json::{parse as parse_json, Json};
 use std::path::{Path, PathBuf};
@@ -156,14 +156,6 @@ impl Topology {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read topology {}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// The ring this topology induces over the given concrete member
-    /// addresses (the supervisor passes resolved addresses once
-    /// port-0 members have bound).
-    #[must_use]
-    pub fn ring_over<S: AsRef<str>>(&self, addrs: &[S]) -> HashRing {
-        HashRing::with_params(addrs, self.vnodes, self.seed)
     }
 
     /// The replication factor bounded by the fleet size.
@@ -459,13 +451,15 @@ store_capacity = 1048576
     }
 
     #[test]
-    fn ring_over_respects_topology_params() {
+    fn router_ring_respects_topology_params() {
         let mut topo = Topology::parse(TOML).unwrap();
         topo.vnodes = 8;
         topo.seed = 42;
         let addrs = ["127.0.0.1:9001", "127.0.0.1:9002"];
-        let ring = topo.ring_over(&addrs);
-        let manual = HashRing::with_params(&addrs, 8, 42);
+        // The construction the fleet binary and the smoke run use.
+        let router = crate::Router::with_ring_params(&addrs, topo.vnodes, topo.seed);
+        let ring = router.ring();
+        let manual = crate::HashRing::with_params(&addrs, 8, 42);
         for k in 0..64u128 {
             assert_eq!(ring.owner_of(k), manual.owner_of(k));
         }

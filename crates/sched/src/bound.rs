@@ -22,9 +22,9 @@ pub use flexer_solve::{lower_bound, lower_bound_resident, ScheduleBound};
 /// The best score found so far for one layer, shared across worker
 /// threads.
 ///
-/// Scores are stored monotone-encoded (see
-/// [`crate::metric::encode_score`]) so [`Incumbent::observe`] is a
-/// single `AtomicU64::fetch_min` — lock-free and only ever decreasing.
+/// Scores are stored monotone-encoded (see `metric::encode_score`) so
+/// [`Incumbent::observe`] is a single `AtomicU64::fetch_min` —
+/// lock-free and only ever decreasing.
 #[derive(Debug)]
 pub struct Incumbent(AtomicU64);
 

@@ -42,11 +42,11 @@ pub enum EvalMode {
 ///
 /// Operates like a list instruction scheduler for a multi-issue
 /// machine where each NPU is a functional unit (§3): every step it
-/// forms candidate sets of ready operations ([`generate_sets`], with
-/// §4.2's dataflow-map pruning), evaluates their memory consequences
-/// against the shared buffer, selects the highest-priority set
-/// ([`PriorityPolicy`], §4.3) and issues it, inserting loads and
-/// spills on the fly.
+/// forms candidate sets of ready operations
+/// ([`crate::generate_sets`], with §4.2's dataflow-map pruning),
+/// evaluates their memory consequences against the shared buffer,
+/// selects the highest-priority set ([`PriorityPolicy`], §4.3) and
+/// issues it, inserting loads and spills on the fly.
 ///
 /// # Examples
 ///
@@ -184,7 +184,7 @@ impl<'a> OooScheduler<'a> {
     /// a trace lane: one `step` span per issue-loop iteration (at
     /// [`flexer_trace::TraceDetail::Steps`] and deeper) with the ready
     /// count, the issued width and the selected set size, plus per-step
-    /// memory events from [`ExecState::commit_set`] at
+    /// memory events from `ExecState::commit_set` at
     /// [`flexer_trace::TraceDetail::Memory`]. On a disabled lane this
     /// is exactly [`OooScheduler::schedule_with_stats`].
     ///

@@ -61,11 +61,6 @@ pub struct SearchStats {
     pub store_hits: u64,
     /// Layers that consulted the persistent store and found no entry.
     pub store_misses: u64,
-    /// Store entries evicted by the size-bounded LRU pass.
-    pub store_evictions: u64,
-    /// Store entries rejected as torn/corrupt (checksum or decode
-    /// failure) and treated as misses.
-    pub store_corrupt: u64,
 }
 
 /// What a [`SearchStats`] counter measures — used to format it and to
@@ -89,7 +84,7 @@ impl SearchStats {
     /// it here is a compile error, and [`SearchStats::merge`] plus the
     /// drift tests derive their field sets from this list.
     #[must_use]
-    pub fn fields(&self) -> [(&'static str, u64, StatKind); 21] {
+    pub fn fields(&self) -> [(&'static str, u64, StatKind); 19] {
         let Self {
             steps,
             sets_generated,
@@ -110,8 +105,6 @@ impl SearchStats {
             bound_nanos,
             store_hits,
             store_misses,
-            store_evictions,
-            store_corrupt,
         } = *self;
         [
             ("steps", steps, StatKind::Count),
@@ -133,8 +126,6 @@ impl SearchStats {
             ("bound_nanos", bound_nanos, StatKind::Nanos),
             ("store_hits", store_hits, StatKind::Count),
             ("store_misses", store_misses, StatKind::Count),
-            ("store_evictions", store_evictions, StatKind::Count),
-            ("store_corrupt", store_corrupt, StatKind::Count),
         ]
     }
 
@@ -173,8 +164,6 @@ impl SearchStats {
             bound_nanos,
             store_hits,
             store_misses,
-            store_evictions,
-            store_corrupt,
         } = *other;
         self.steps += steps;
         self.sets_generated += sets_generated;
@@ -195,8 +184,6 @@ impl SearchStats {
         self.bound_nanos += bound_nanos;
         self.store_hits += store_hits;
         self.store_misses += store_misses;
-        self.store_evictions += store_evictions;
-        self.store_corrupt += store_corrupt;
     }
 
     /// Emits every counter into a trace lane as a gauge sample. Under
@@ -222,7 +209,7 @@ impl std::fmt::Display for SearchStats {
             "steps {} | sets gen {} pruned {} eval {} | rollback {} B \
              (clone avoided {} B) | evict {} compact {} | verified {} | \
              bound {} pruned {} early-exit {} | \
-             store hit {} miss {} evict {} corrupt {} | \
+             store hit {} miss {} | \
              gen {:.2} ms eval {:.2} ms commit {:.2} ms verify {:.2} ms \
              bound {:.2} ms",
             self.steps,
@@ -239,8 +226,6 @@ impl std::fmt::Display for SearchStats {
             self.early_exits,
             self.store_hits,
             self.store_misses,
-            self.store_evictions,
-            self.store_corrupt,
             self.gen_nanos as f64 / 1e6,
             self.eval_nanos as f64 / 1e6,
             self.commit_nanos as f64 / 1e6,
@@ -277,11 +262,9 @@ mod tests {
             bound_nanos: 17,
             store_hits: 18,
             store_misses: 19,
-            store_evictions: 20,
-            store_corrupt: 21,
         };
         // Guard the literal above against field additions.
-        assert_eq!(s.fields().len(), 21);
+        assert_eq!(s.fields().len(), 19);
         for (i, (name, value, _)) in s.fields().into_iter().enumerate() {
             assert_eq!(value, i as u64 + 1, "field {name} not sequential");
         }
@@ -313,12 +296,12 @@ mod tests {
     fn deterministic_fields_exclude_wall_time() {
         let s = sequential();
         let det = s.deterministic_fields();
-        assert_eq!(det.len(), 16);
+        assert_eq!(det.len(), 14);
         assert!(det.iter().all(|(name, _)| !name.ends_with("_nanos")));
         assert!(det.iter().any(|&(name, v)| name == "steps" && v == 1));
         assert!(det
             .iter()
-            .any(|&(name, v)| name == "store_corrupt" && v == 21));
+            .any(|&(name, v)| name == "store_misses" && v == 19));
     }
 
     #[test]

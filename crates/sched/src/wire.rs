@@ -80,13 +80,14 @@ pub fn decode_factors(r: &mut WireReader<'_>) -> Result<TilingFactors, WireError
     Ok(TilingFactors::from_raw(k, c, h, w))
 }
 
-/// Trailing `u64` slots of the stats encoding that once held the
-/// retired solver-seeding counters. Format version 4 keeps them so
-/// existing entries stay readable; they are written as zeros.
-const RETIRED_STATS: usize = 3;
+/// Trailing `u64` slots of the stats encoding that once held retired
+/// counters: the store eviction and corruption counts, then the three
+/// solver-seeding counters. Format version 4 keeps them so existing
+/// entries stay readable; they are written as zeros.
+const RETIRED_STATS: usize = 5;
 
-/// Encodes a [`SearchStats`], followed by three zero slots where the
-/// retired seeding counters were. The exhaustive destructuring keeps
+/// Encodes a [`SearchStats`], followed by five zero slots where the
+/// retired counters were. The exhaustive destructuring keeps
 /// the codec in lock-step with the struct: a new field fails to
 /// compile here (and in [`decode_stats`]) until it is wired in.
 pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
@@ -110,8 +111,6 @@ pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
         bound_nanos,
         store_hits,
         store_misses,
-        store_evictions,
-        store_corrupt,
     } = *s;
     for v in [
         steps,
@@ -133,8 +132,6 @@ pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
         bound_nanos,
         store_hits,
         store_misses,
-        store_evictions,
-        store_corrupt,
     ] {
         w.u64(v);
     }
@@ -143,7 +140,7 @@ pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
     }
 }
 
-/// Decodes a [`SearchStats`], discarding the three retired slots.
+/// Decodes a [`SearchStats`], discarding the five retired slots.
 ///
 /// # Errors
 ///
@@ -169,8 +166,6 @@ pub fn decode_stats(r: &mut WireReader<'_>) -> Result<SearchStats, WireError> {
         bound_nanos: r.u64()?,
         store_hits: r.u64()?,
         store_misses: r.u64()?,
-        store_evictions: r.u64()?,
-        store_corrupt: r.u64()?,
     };
     // Skipped, not rejected: existing stores and fleet replicas stay
     // warm, and the pinned fingerprints stay valid.
@@ -410,7 +405,7 @@ mod tests {
         }
         s.steps = 7;
         s.store_hits = 3;
-        s.store_corrupt = 1;
+        s.store_misses = 1;
         s.bound_nanos = 99;
         let mut w = WireWriter::new();
         encode_stats(&mut w, &s);

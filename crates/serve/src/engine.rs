@@ -1,12 +1,16 @@
 //! Request execution: drivers, deadlines, and response bodies.
 //!
 //! The engine owns a lazily populated cache of [`Flexer`] drivers, one
-//! per `(arch, options, verify)` combination a request can name. When
-//! the server is started with a persistent store, the engine opens one
-//! [`ScheduleStore`] handle and every driver and the replication ops
-//! share it — entries are content-addressed, so the drivers never
-//! collide, and one LRU recency sees every hit. One driver's result
-//! tier warms every later request with the same configuration.
+//! per `(arch, options)` pair a request can name: at most 16, 8
+//! presets × 2 option sets. A `verify` request runs on the same driver
+//! as `schedule` and `compare`, with validation forced for that request
+//! alone ([`Flexer::validating`]), so it reads and warms the same result
+//! tier. When the server is started with a persistent store, the engine
+//! opens one [`ScheduleStore`] handle and every driver and the
+//! replication ops share it — entries are content-addressed, so the
+//! drivers never collide, and one LRU recency sees every hit. One
+//! driver's result tier warms every later request with the same
+//! configuration.
 
 use crate::protocol::{hex_encode, ok_response, ErrorKind, Mode, Obj, Op, OptionsName, Request};
 use flexer::prelude::*;
@@ -45,11 +49,11 @@ impl Deadline {
     ///   layer's best-so-far (each layer always runs its first
     ///   candidate).
     /// - `None` with `default_ms == 0` is unbounded.
-    /// - Absurdly large values (≥ [`Self::UNBOUNDED_THRESHOLD_MS`],
-    ///   up to and including `u64::MAX`) saturate to unbounded instead
-    ///   of risking a clock overflow — an `Instant + Duration` panic
-    ///   in a worker thread would kill that worker and silently shrink
-    ///   the pool.
+    /// - Absurdly large values (≥ `Self::UNBOUNDED_THRESHOLD_MS`,
+    ///   about a century, up to and including `u64::MAX`) saturate to
+    ///   unbounded instead of risking a clock overflow — an
+    ///   `Instant + Duration` panic in a worker thread would kill that
+    ///   worker and silently shrink the pool.
     #[must_use]
     pub fn from_ms(ms: Option<u64>, default_ms: u64) -> Self {
         // An explicit 0 means "already expired"; only an absent
@@ -110,10 +114,8 @@ impl Deadline {
     }
 }
 
-/// One driver per distinct request configuration. `verify` selects a
-/// twin with [`SearchOptions::validate`] forced on, so verified and
-/// unverified requests never share one driver's result tier.
-type DriverKey = (ArchPreset, OptionsName, bool);
+/// One driver per distinct request configuration.
+type DriverKey = (ArchPreset, OptionsName);
 
 /// Aggregate counters over every residency-planned network the engine
 /// has scheduled (requests with `"residency": true`). A snapshot of
@@ -181,15 +183,11 @@ impl Engine {
         }
     }
 
-    fn options_for(name: OptionsName, verify: bool) -> SearchOptions {
-        let mut opts = match name {
+    fn options_for(name: OptionsName) -> SearchOptions {
+        match name {
             OptionsName::Quick => SearchOptions::quick(),
             OptionsName::Default => SearchOptions::default(),
-        };
-        if verify {
-            opts.validate = true;
         }
-        opts
     }
 
     /// The (cached) driver for one request configuration.
@@ -203,9 +201,9 @@ impl Engine {
         if let Some(d) = drivers.get(&key) {
             return Ok(Arc::clone(d));
         }
-        let (arch, options, verify) = key;
+        let (arch, options) = key;
         let mut driver =
-            Flexer::new(ArchConfig::preset(arch)).with_options(Self::options_for(options, verify));
+            Flexer::new(ArchConfig::preset(arch)).with_options(Self::options_for(options));
         if let Some(store) = self.store()? {
             driver = driver.with_store(store);
         }
@@ -468,7 +466,7 @@ impl Engine {
         net: &Network,
         deadline: &Deadline,
     ) -> Result<String, Failure> {
-        let driver = self.driver((req.arch, req.options, false))?;
+        let driver = self.driver((req.arch, req.options))?;
         if req.mode == Mode::Anytime {
             return Self::run_schedule_anytime(req, net, deadline, &driver);
         }
@@ -598,7 +596,12 @@ impl Engine {
         deadline: &Deadline,
         verify: bool,
     ) -> Result<String, Failure> {
-        let driver = self.driver((req.arch, req.options, verify))?;
+        let driver = self.driver((req.arch, req.options))?;
+        let driver = if verify {
+            Arc::new(driver.validating())
+        } else {
+            driver
+        };
         deadline.check()?;
         let flexer = Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Ooo)?;
         let baseline = Self::layers_with_deadline(&driver, net, deadline, SchedulerKind::Static)?;
@@ -884,9 +887,62 @@ mod tests {
             .get("speedup")
             .and_then(flexer_trace::json::Json::as_num)
             .is_some());
-        // Verified and unverified drivers are distinct cache entries.
+        // Verify and compare run on one driver.
         req.op = Op::Compare;
         let _ = engine.run(&req, &Deadline::unbounded()).unwrap();
-        assert_eq!(engine.driver_count(), 2);
+        assert_eq!(engine.driver_count(), 1);
+    }
+
+    #[test]
+    fn verify_shares_the_driver_and_reverifies_its_hits() {
+        use flexer_trace::json::Json;
+        let dir = std::env::temp_dir().join(format!(
+            "flexer-serve-verify-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let layers = r#","layers":[
+            {"in_channels":16,"height":14,"width":14,"out_channels":16},
+            {"in_channels":16,"height":7,"width":7,"out_channels":32}]"#;
+        let req = |op: &str| parse_request(&format!(r#"{{"op":"{op}"{layers}}}"#)).unwrap();
+        for engine in [Engine::new(), Engine::with_store(dir.clone(), None)] {
+            let stored = engine.store_summary().is_some();
+            let run = |op: &str| {
+                let line = engine.run(&req(op), &Deadline::unbounded()).unwrap();
+                flexer_trace::json::parse(&line).unwrap()
+            };
+            run("schedule");
+            for (i, op) in ["verify", "compare", "verify"].into_iter().enumerate() {
+                let j = run(op);
+                if op == "verify" {
+                    assert_eq!(j.get("verified").and_then(Json::as_bool), Some(true));
+                }
+                if stored && i == 2 {
+                    // Every flexer row is a tier hit of the winner the
+                    // unvalidated `schedule` searched.
+                    let rows = j.get("layers").and_then(Json::as_array).unwrap();
+                    assert!(rows
+                        .iter()
+                        .all(|r| r.get("store").and_then(Json::as_str) == Some("hit")));
+                }
+            }
+            assert_eq!(engine.driver_count(), 1, "stored={stored}");
+
+            // The tier holds the unvalidated winner; a validating
+            // request verifies the hit before serving it.
+            let schedule = req("schedule");
+            let driver = engine.driver((schedule.arch, schedule.options)).unwrap();
+            let layer = &schedule.network.as_ref().unwrap().layers()[0];
+            let held = driver.schedule_layer(layer).unwrap();
+            assert_eq!(held.stats.schedules_verified, 0, "stored={stored}");
+            let validating = driver.validating();
+            assert_eq!(validating.cached_shapes(), driver.cached_shapes());
+            let checked = validating.schedule_layer(layer).unwrap();
+            assert_eq!(checked.stats.schedules_verified, 1, "stored={stored}");
+            assert_eq!(checked.stats.store_hits, u64::from(stored));
+            assert_eq!(checked.evaluated, held.evaluated);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

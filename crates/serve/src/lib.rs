@@ -8,10 +8,11 @@
 //!   (`parse`, `bad_request`, `overloaded`, `deadline`, `sched`,
 //!   `shutting_down`, `internal`).
 //! - **Engine** ([`engine`]): a cache of [`flexer::Flexer`] drivers,
-//!   one per `(arch, options, verify)` configuration, all sharing one
-//!   persistent [`flexer_store::ScheduleStore`] so every schedule ever
-//!   computed warms every future request — across requests, drivers
-//!   *and* process restarts.
+//!   one per `(arch, options)` pair, all sharing one persistent
+//!   [`flexer_store::ScheduleStore`] so every schedule ever computed
+//!   warms every future request — across requests, drivers *and*
+//!   process restarts. `verify` runs on the same driver as `schedule`
+//!   and `compare`, validating for that request alone.
 //! - **Server** ([`server`]): a bounded worker pool over a bounded
 //!   accept queue; saturation sheds load with a typed `overloaded`
 //!   reply instead of stalling, deadlines are enforced between layers,

@@ -177,8 +177,9 @@ fn hot_entry_survives_a_store_push_that_overflows_capacity() {
 #[test]
 fn no_winner_is_lost_while_other_requests_create_drivers() {
     // One thread schedules distinct arch1 layers — at least 40, and
-    // until the other thread is done — while another creates the 28
-    // other drivers (arch2..arch8 × quick/default × schedule/verify).
+    // until the other thread is done — while another creates the 14
+    // other drivers (arch2..arch8 × quick/default), sending each a
+    // schedule and a verify request: both ops share one driver.
     // Every searched winner must reach the store: a fresh engine on
     // the directory then hits them all.
     let dir = Scratch::new("race");
@@ -203,7 +204,7 @@ fn no_winner_is_lost_while_other_requests_create_drivers() {
         drivers_done.store(true, Ordering::Release);
         scheduler.join().unwrap()
     });
-    assert_eq!(engine.driver_count(), 29);
+    assert_eq!(engine.driver_count(), 15);
     let fresh = Engine::with_store(dir.0.clone(), None);
     let lost = (0..winners)
         .filter(|&i| arch1(&fresh, 8 + i) != "hit")

@@ -213,8 +213,8 @@ impl ResidencyLedger {
     }
 
     /// Evicts a live tensor under pressure: its bytes are released and
-    /// its data falls back to DRAM, so any later [`consume`]
-    /// (`ResidencyLedger::consume`) is a use-after-free.
+    /// its data falls back to DRAM, so any later
+    /// [`ResidencyLedger::consume`] is a use-after-free.
     ///
     /// # Errors
     ///

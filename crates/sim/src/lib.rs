@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod energy;
 mod engine;
 mod gantt;
 mod interp;
@@ -60,7 +59,6 @@ mod traffic;
 mod validate;
 pub mod wire;
 
-pub use energy::schedule_energy;
 pub use engine::{Timeline, TimelineError};
 pub use gantt::schedule_trace;
 pub use interp::{

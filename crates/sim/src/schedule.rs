@@ -108,12 +108,6 @@ impl SpatialReuseStats {
         self.bytes[Self::index(kind)]
     }
 
-    /// Total sharing events over all kinds.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.events.iter().sum()
-    }
-
     /// Number of distinct tile kinds that were ever shared — loop-order
     /// schedules share exactly one kind (the stationary one), OoO
     /// schedules typically share several (paper Figure 11).
@@ -233,17 +227,6 @@ impl Schedule {
         }
         let busy: u64 = self.core_busy.iter().sum();
         busy as f64 / (self.latency as f64 * f64::from(self.cores))
-    }
-
-    /// Mean SPM utilization over the scheduling steps that reported a
-    /// sample.
-    #[must_use]
-    pub fn mean_spm_utilization(&self) -> f64 {
-        if self.utilization_samples == 0 {
-            0.0
-        } else {
-            self.utilization_sum / self.utilization_samples as f64
-        }
     }
 
     /// Cycles the DMA engine spent compacting the on-chip buffer
@@ -690,7 +673,6 @@ mod tests {
         assert_eq!(sr.bytes(TileKind::Input), 100 + 100);
         assert_eq!(sr.events(TileKind::Weight), 1);
         assert_eq!(sr.kinds_shared(), 2);
-        assert_eq!(sr.total_events(), 3);
     }
 
     #[test]
@@ -699,7 +681,8 @@ mod tests {
         b.record_spm_utilization(0.5);
         b.record_spm_utilization(1.0);
         let sched = b.finish();
-        assert!((sched.mean_spm_utilization() - 0.75).abs() < 1e-9);
+        assert_eq!(sched.utilization_samples, 2);
+        assert!((sched.utilization_sum - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -743,7 +726,7 @@ mod tests {
         assert_eq!(sched.latency(), 0);
         assert_eq!(sched.transfer_bytes(), 0);
         assert_eq!(sched.compute_utilization(), 0.0);
-        assert_eq!(sched.mean_spm_utilization(), 0.0);
+        assert_eq!(sched.utilization_samples, 0);
     }
 
     #[test]

@@ -132,23 +132,6 @@ impl TrafficStats {
             .unwrap_or(0)
     }
 
-    /// The mean load count over tiles of `kind` that were loaded at
-    /// least once (0.0 if none).
-    #[must_use]
-    pub fn mean_loads(&self, kind: TileKind) -> f64 {
-        let counts: Vec<u32> = self
-            .loads_per_tile
-            .iter()
-            .filter(|(t, _)| t.kind() == kind)
-            .map(|(_, &n)| n)
-            .collect();
-        if counts.is_empty() {
-            0.0
-        } else {
-            counts.iter().map(|&n| f64::from(n)).sum::<f64>() / counts.len() as f64
-        }
-    }
-
     /// Whether tiles of `kind` show *reload variation* — different
     /// tiles loaded a different number of times. Loop-order schedules
     /// never do ("all tiles of a given type are reloaded the same
@@ -163,16 +146,6 @@ impl TrafficStats {
         match counts.next() {
             None => false,
             Some(first) => counts.any(|n| n != first),
-        }
-    }
-
-    /// Merges another stats record into this one (used to aggregate
-    /// layers into a network; tile identities are per-layer, so load
-    /// counts merge by maximum to stay meaningful per tile).
-    pub fn merge_bytes(&mut self, other: &TrafficStats) {
-        for i in 0..4 {
-            self.bytes[i] += other.bytes[i];
-            self.transfers[i] += other.transfers[i];
         }
     }
 
@@ -253,9 +226,7 @@ mod tests {
         t.record_load(TrafficClass::Input, in_tile(0), 10);
         t.record_load(TrafficClass::Input, in_tile(1), 10);
         assert_eq!(t.max_loads(TileKind::Input), 2);
-        assert!((t.mean_loads(TileKind::Input) - 1.5).abs() < 1e-9);
         assert_eq!(t.max_loads(TileKind::Weight), 0);
-        assert_eq!(t.mean_loads(TileKind::Weight), 0.0);
     }
 
     #[test]
@@ -267,19 +238,6 @@ mod tests {
         t.record_load(TrafficClass::Input, in_tile(1), 10);
         assert!(t.has_reload_variation(TileKind::Input));
         assert!(!t.has_reload_variation(TileKind::Output));
-    }
-
-    #[test]
-    fn merge_accumulates_bytes() {
-        let mut a = TrafficStats::default();
-        a.record_store(TrafficClass::Output, 5);
-        let mut b = TrafficStats::default();
-        b.record_store(TrafficClass::Output, 7);
-        b.record_load(TrafficClass::Weight, TileId::Weight { k: 0, c: 0 }, 3);
-        a.merge_bytes(&b);
-        assert_eq!(a.class_bytes(TrafficClass::Output), 12);
-        assert_eq!(a.class_bytes(TrafficClass::Weight), 3);
-        assert_eq!(a.class_transfers(TrafficClass::Output), 2);
     }
 
     #[test]

@@ -226,7 +226,7 @@ pub struct Checkpoint {
 ///
 /// // `a` is dead after its last use; a same-sized tile replaces it
 /// // in place.
-/// spm.set_remain_uses(a, 0);
+/// spm.decrement_uses(a);
 /// let c = TileId::Input { c: 1, s: 0 };
 /// let outcome = spm.allocate(c, 128, 1, &FlexerSpill)?;
 /// assert_eq!(outcome.method, flexer_spm::AllocMethod::InPlace);
@@ -541,17 +541,6 @@ impl SpmMemory {
         }
     }
 
-    /// Sets the remaining-use count of a resident tile. Returns whether
-    /// the tile was resident.
-    pub fn set_remain_uses(&mut self, tile: TileId, uses: u32) -> bool {
-        if let Some(d) = self.tile_data_mut(tile) {
-            d.remain_uses = uses;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Decrements (saturating) the remaining-use count of a resident
     /// tile. Returns whether the tile was resident.
     pub fn decrement_uses(&mut self, tile: TileId) -> bool {
@@ -827,7 +816,7 @@ impl SpmMemory {
     /// [`SpmMemory::compact`], reporting exactly which tiles moved
     /// where — the information a code generator needs to emit the
     /// corresponding on-chip copy commands.
-    pub fn compact_with_moves(&mut self) -> Vec<TileMove> {
+    fn compact_with_moves(&mut self) -> Vec<TileMove> {
         if self.tx_depth > 0 {
             // Structural rewrite: journal the whole pre-compaction map.
             self.record(JournalEntry::Snapshot {
@@ -966,7 +955,8 @@ mod tests {
     #[test]
     fn in_place_replacement_of_dead_block() {
         let mut spm = filled();
-        spm.set_remain_uses(t(2), 0);
+        spm.decrement_uses(t(2));
+        spm.decrement_uses(t(2));
         let outcome = spm.allocate(t(9), 64, 3, &FlexerSpill).unwrap();
         assert_eq!(outcome.method, AllocMethod::InPlace);
         assert_eq!(outcome.address, 128);
@@ -1210,7 +1200,8 @@ mod tests {
     #[test]
     fn rollback_reverts_in_place_replacement() {
         let mut spm = filled();
-        spm.set_remain_uses(t(2), 0);
+        spm.decrement_uses(t(2));
+        spm.decrement_uses(t(2));
         let oracle = spm.clone();
         let token = spm.checkpoint();
         let outcome = spm.allocate(t(9), 64, 3, &FlexerSpill).unwrap();

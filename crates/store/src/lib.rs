@@ -26,7 +26,7 @@
 //!   format version, payload length and an FNV-1a 64 checksum of the
 //!   payload. Anything that fails validation or decoding is a *typed*
 //!   corrupt-entry miss ([`Lookup::Corrupt`]): the entry is deleted,
-//!   the `store_corrupt` counter bumps, and the caller re-schedules
+//!   the store's `corrupt` counter bumps, and the caller re-schedules
 //!   and repairs. Corruption never panics and never serves a wrong
 //!   schedule.
 //! * **Size-bounded** — when the store grows past its byte capacity, a

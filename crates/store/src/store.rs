@@ -391,8 +391,6 @@ impl ScheduleStore {
         let mut stored = result.clone();
         stored.stats.store_hits = 0;
         stored.stats.store_misses = 0;
-        stored.stats.store_evictions = 0;
-        stored.stats.store_corrupt = 0;
         let payload = encode_layer_result(&stored);
 
         let mut file_bytes = Vec::with_capacity(HEADER_LEN + payload.len());

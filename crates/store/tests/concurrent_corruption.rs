@@ -83,8 +83,6 @@ fn masked(r: &LayerSearchResult) -> Vec<u8> {
     r.stats.bound_nanos = 0;
     r.stats.store_hits = 0;
     r.stats.store_misses = 0;
-    r.stats.store_evictions = 0;
-    r.stats.store_corrupt = 0;
     encode_layer_result(&r)
 }
 

@@ -148,18 +148,6 @@ impl CompulsoryTiles {
             .copied()
     }
 
-    /// Byte sizes of every distinct tile of `kind`, in tile-index
-    /// order.
-    pub fn kind_transfer_sizes(&self, kind: TileKind) -> impl Iterator<Item = u64> + '_ {
-        match kind {
-            TileKind::Input => &self.in_bytes,
-            TileKind::Weight => &self.wt_bytes,
-            TileKind::Output => &self.ot_bytes,
-        }
-        .iter()
-        .copied()
-    }
-
     /// Decomposes into the `(input, weight, output)` byte vectors.
     pub(crate) fn into_parts(self) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
         (self.in_bytes, self.wt_bytes, self.ot_bytes)

@@ -274,7 +274,7 @@ impl Lane {
     }
 
     /// Records a counter sample at an explicit timestamp.
-    pub fn counter_at(&mut self, ts: u64, name: &'static str, value: u64) {
+    fn counter_at(&mut self, ts: u64, name: &'static str, value: u64) {
         if !self.enabled {
             return;
         }
@@ -284,12 +284,6 @@ impl Lane {
             kind: EventKind::Counter { name, value },
             attrs: Vec::new(),
         });
-    }
-
-    /// Number of open spans (test and assertion helper).
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
     }
 
     /// Number of recorded events.
@@ -332,7 +326,7 @@ mod tests {
         lane.exit(outer);
         let ts: Vec<u64> = lane.events.iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![0, 1, 2, 3, 4]);
-        assert_eq!(lane.open_spans(), 0);
+        assert!(lane.open.is_empty());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! Two entry points cover both sides of a service boundary:
 //!
-//! - [`span_durations`] walks an in-memory [`Trace`] (the producer
-//!   side — a search that just ran).
+//! - [`LatencySummary::of_trace`] walks an in-memory [`Trace`] (the
+//!   producer side — a search that just ran).
 //! - [`parse_rendered_tree`] re-reads the plain-text span tree emitted
 //!   by [`crate::text::render_tree`] (the consumer side — e.g. a
 //!   client that received a `span_tree` string over the wire and wants
@@ -49,7 +49,7 @@ pub struct ParsedSpan {
 /// The trace is expected to be well-formed (see [`Trace::check`]);
 /// unbalanced lanes yield only the spans whose exits were recorded.
 #[must_use]
-pub fn span_durations(trace: &Trace, name: &str) -> Vec<u64> {
+fn span_durations(trace: &Trace, name: &str) -> Vec<u64> {
     let mut out = Vec::new();
     for lane in trace.lanes() {
         // (enter index, enter ts, matches) stack; durations resolve at
@@ -173,17 +173,6 @@ impl LatencySummary {
     pub fn of_trace(trace: &Trace, name: &str) -> Self {
         Self::of(&span_durations(trace, name))
     }
-
-    /// Summarizes every span named `name` in a rendered span tree.
-    #[must_use]
-    pub fn of_rendered(text: &str, name: &str) -> Self {
-        let durations: Vec<u64> = parse_rendered_tree(text)
-            .into_iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.dur)
-            .collect();
-        Self::of(&durations)
-    }
 }
 
 impl fmt::Display for LatencySummary {
@@ -237,9 +226,14 @@ mod tests {
         assert_eq!((spans[1].dur, spans[1].depth), (2, 2));
         // The two views agree on every population.
         for name in ["layer", "candidate"] {
+            let rendered: Vec<u64> = spans
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.dur)
+                .collect();
             assert_eq!(
                 LatencySummary::of_trace(&trace, name),
-                LatencySummary::of_rendered(&text, name),
+                LatencySummary::of(&rendered),
                 "{name}"
             );
         }

@@ -77,20 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nbest static order, {}:", baseline.schedule);
     print!("{}", render_gantt(&baseline.schedule, 72));
 
-    // Energy comparison: with off-chip accesses ~30x costlier than
-    // on-chip ones, the traffic gap translates into energy.
-    let energy_model = EnergyModel::default();
-    let base_dfg = Dfg::build(&layer, baseline.factors, baseline.dataflow, &model, &arch)?;
-    let e_flexer = schedule_energy(&dfg, &ooo.schedule, &energy_model);
-    let e_static = schedule_energy(&base_dfg, &baseline.schedule, &energy_model);
-    println!("\nenergy ({energy_model}):");
-    println!("  flexer: {e_flexer}");
-    println!("  static: {e_static}");
-    println!(
-        "  -> {:.2}x less energy",
-        e_static.total_pj() / e_flexer.total_pj()
-    );
-
     // Machine-readable event trace (first few rows).
     println!("\nfirst events of the OoO schedule (TSV):");
     for line in to_tsv(&ooo.schedule).lines().take(8) {

@@ -26,9 +26,9 @@ fn golden_layer() -> ConvLayer {
 /// or counter placement shows up here as a byte diff.
 const GOLDEN_TREE: &str = "\
 lane 0 \"search\"
-  #0 search [0 +21] scheduler=ooo layers=1 prune=true
+  #0 search [0 +19] scheduler=ooo layers=1 prune=true
     #1 bound [1 +1] layer=g candidates=2
-    #2 layer [3 +17] name=g role=leader outcome=ok evaluated=2 score=1584000.0 latency=990 transfer_bytes=1600
+    #2 layer [3 +15] name=g role=leader outcome=ok evaluated=2 score=1584000.0 latency=990 transfer_bytes=1600
       steps=1 @4
       sets_generated=1 @5
       sets_pruned=0 @6
@@ -43,8 +43,6 @@ lane 0 \"search\"
       early_exits=0 @15
       store_hits=0 @16
       store_misses=0 @17
-      store_evictions=0 @18
-      store_corrupt=0 @19
 lane 1 \"g/0\"
   #3 candidate [0 +1] layer=g tiling=k1\u{b7}c2\u{b7}1x1 dataflow=Csk outcome=bounded bound=2048000.0
 lane 2 \"g/1\"
