@@ -42,7 +42,7 @@ cargo test -q --workspace
 # Hostile-input sweep again in release, where overflow checks are off
 # and a wrapped size would pass silently instead of panicking.
 cargo test -q --release -p flexer-serve --test hostile_shapes
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: no intra-doc link dangles after a deletion or points at
 # a private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

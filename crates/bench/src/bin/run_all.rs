@@ -17,8 +17,6 @@ fn main() {
     println!();
     experiments::fig12(&ExperimentContext::from_env(4, Budget::Quick));
     println!();
-    experiments::search_prune(&ExperimentContext::from_env(1, Budget::Quick));
-    println!();
     experiments::verify(&ExperimentContext::from_env(1, Budget::Quick));
     println!(
         "\n# all experiments completed in {:.1}s",

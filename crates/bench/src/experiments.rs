@@ -485,72 +485,3 @@ pub fn verify(ctx: &ExperimentContext) {
     }
     println!("\nall winning schedules passed differential verification");
 }
-
-/// **Search pruning** — the exact branch-and-bound search (admissible
-/// per-candidate lower bounds, a shared per-layer incumbent and the
-/// mid-run cutoff) against the exhaustive baseline, on the smallest
-/// and the mid-size preset. Both runs are serial so the wall-clock
-/// ratio isolates the pruning itself.
-///
-/// # Panics
-///
-/// Panics if a search fails or a pruned winner differs from the
-/// exhaustive one — exactness is the contract (DESIGN.md §10).
-pub fn search_prune(ctx: &ExperimentContext) {
-    ctx.print_header(
-        "Search pruning",
-        "branch-and-bound vs exhaustive search, identical winners",
-    );
-    let net = ctx.network("squeezenet");
-    println!(
-        "\n{:<7} {:>10} {:>12} {:>8} {:>9} {:>9} {:>9}",
-        "arch", "pruned_ms", "exhaust_ms", "speedup", "bounded", "skipped", "cut"
-    );
-    for preset in [ArchPreset::Arch1, ArchPreset::Arch5] {
-        let arch = ArchConfig::preset(preset);
-        let mut pruned_opts = ctx.options.clone();
-        pruned_opts.threads = 1;
-        pruned_opts.prune = true;
-        let mut full_opts = pruned_opts.clone();
-        full_opts.prune = false;
-
-        let t = std::time::Instant::now();
-        let pruned = Search::new(&arch, &pruned_opts)
-            .run(net.layers())
-            .into_result()
-            .expect("pruned search succeeds");
-        let pruned_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = std::time::Instant::now();
-        let full = Search::new(&arch, &full_opts)
-            .run(net.layers())
-            .into_result()
-            .expect("exhaustive search succeeds");
-        let full_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        for (p, f) in pruned.iter().zip(full.iter()) {
-            assert_eq!(p.factors, f.factors, "{}: tiling differs", p.layer);
-            assert_eq!(p.dataflow, f.dataflow, "{}: dataflow differs", p.layer);
-            assert!(
-                (p.score - f.score).abs() < 1e-9,
-                "{}: score differs",
-                p.layer
-            );
-        }
-
-        let mut stats = SearchStats::default();
-        for r in &pruned {
-            stats.merge(&r.stats);
-        }
-        println!(
-            "{:<7} {:>10.1} {:>12.1} {:>8.2} {:>9} {:>9} {:>9}",
-            preset.to_string(),
-            pruned_ms,
-            full_ms,
-            full_ms / pruned_ms,
-            stats.candidates_bounded,
-            stats.candidates_pruned,
-            stats.early_exits
-        );
-    }
-    println!("\nall pruned winners matched the exhaustive search");
-}

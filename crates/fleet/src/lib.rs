@@ -8,7 +8,7 @@
 //!   fingerprints (virtual nodes, deterministic seed). Every component
 //!   — router, anti-entropy, supervisor — places keys with the *same*
 //!   ring, so "who owns this schedule" has exactly one answer.
-//! - **Topology** ([`topology`]): the TOML/JSON fleet description the
+//! - **Topology** ([`topology`]): the TOML fleet description the
 //!   `flexer-fleet` binary spawns members from, including per-node RAM
 //!   dials (leader/follower store capacity and worker-pool size).
 //! - **Router** ([`router`]): fingerprint routing with ring-successor

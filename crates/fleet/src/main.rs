@@ -30,7 +30,7 @@ USAGE:
       warm start of a wiped member via replication.
 
 OPTIONS:
-  --topology FILE        TOML or JSON fleet description (see crate docs)
+  --topology FILE        TOML fleet description (see crate docs)
   --serve-bin PATH       the flexer-serve binary to spawn members from
   --run-dir DIR          port files + member logs (default .fleet-run)
   --sync-interval-ms N   anti-entropy period for `run` (default 2000)

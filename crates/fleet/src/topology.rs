@@ -1,9 +1,7 @@
 //! Fleet topology files: which daemons exist, where they listen, and
 //! how much RAM each may spend.
 //!
-//! A topology is a small TOML or JSON document (the format is sniffed
-//! from the first non-whitespace byte, so no extension convention is
-//! required). The TOML dialect is the obvious subset — top-level
+//! A topology is a small TOML document in the obvious subset — top-level
 //! `key = value` pairs plus `[[node]]` tables with string/integer
 //! values, full-line `#` comments — deliberately tiny so the repo
 //! stays dependency-free.
@@ -28,8 +26,6 @@
 //! workers = 2
 //! ```
 //!
-//! The equivalent JSON is `{"vnodes":64,"replicas":2,"nodes":[{…}]}`.
-//!
 //! Roles are *memory dials*, not a consensus protocol: a leader
 //! defaults to a big store and a wide worker pool, a follower to a
 //! small LRU-bounded store and a narrow pool, and every explicit
@@ -40,7 +36,6 @@
 
 use crate::ring::{DEFAULT_SEED, DEFAULT_VNODES};
 use flexer_store::DEFAULT_CAPACITY_BYTES;
-use flexer_trace::json::{parse as parse_json, Json};
 use std::path::{Path, PathBuf};
 
 /// A fleet member's memory role — a preset for the RAM dials.
@@ -132,17 +127,13 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Parses a TOML-subset or JSON topology document.
+    /// Parses a TOML-subset topology document.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the offending line or member.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let topo = if text.trim_start().starts_with('{') {
-            Self::parse_json_doc(text)?
-        } else {
-            Self::parse_toml_subset(text)?
-        };
+        let topo = Self::parse_toml_subset(text)?;
         topo.validate()?;
         Ok(topo)
     }
@@ -205,68 +196,6 @@ impl Topology {
             }
         }
         Ok(())
-    }
-
-    fn parse_json_doc(text: &str) -> Result<Self, String> {
-        let doc = parse_json(text).map_err(|e| format!("{} at byte {}", e.message, e.offset))?;
-        let num = |j: &Json, what: &str| -> Result<u64, String> {
-            let n = j
-                .as_num()
-                .ok_or_else(|| format!("{what} must be a number"))?;
-            if n.is_finite() && n >= 0.0 && n.fract() == 0.0 {
-                Ok(n as u64)
-            } else {
-                Err(format!("{what} must be a non-negative integer"))
-            }
-        };
-        let mut topo = Self::empty();
-        if let Some(j) = doc.get("vnodes") {
-            topo.vnodes = num(j, "vnodes")? as usize;
-        }
-        if let Some(j) = doc.get("seed") {
-            topo.seed = num(j, "seed")?;
-        }
-        if let Some(j) = doc.get("replicas") {
-            topo.replicas = num(j, "replicas")? as usize;
-        }
-        let nodes = doc
-            .get("nodes")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "topology needs a \"nodes\" array".to_string())?;
-        for (i, n) in nodes.iter().enumerate() {
-            let s = |key: &str| -> Result<String, String> {
-                n.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("nodes[{i}] needs a string {key:?}"))
-            };
-            let mut spec = NodeSpec {
-                name: s("name")?,
-                addr: s("addr")?,
-                store_dir: PathBuf::from(s("store_dir")?),
-                role: Role::default(),
-                store_capacity: None,
-                workers: None,
-                queue: None,
-            };
-            if let Some(j) = n.get("role") {
-                spec.role = role_from(
-                    j.as_str()
-                        .ok_or_else(|| format!("nodes[{i}].role must be a string"))?,
-                )?;
-            }
-            if let Some(j) = n.get("store_capacity") {
-                spec.store_capacity = Some(num(j, "store_capacity")?);
-            }
-            if let Some(j) = n.get("workers") {
-                spec.workers = Some(num(j, "workers")? as usize);
-            }
-            if let Some(j) = n.get("queue") {
-                spec.queue = Some(num(j, "queue")? as usize);
-            }
-            topo.nodes.push(spec);
-        }
-        Ok(topo)
     }
 
     fn parse_toml_subset(text: &str) -> Result<Self, String> {
@@ -401,25 +330,6 @@ store_capacity = 1048576
         assert_eq!(n2.effective_workers(), 3, "explicit dial wins");
         assert_eq!(n2.effective_store_capacity(), DEFAULT_CAPACITY_BYTES / 4);
         assert_eq!(topo.nodes[2].effective_store_capacity(), 1048576);
-    }
-
-    #[test]
-    fn json_parses_equivalently() {
-        let json = r#"{"replicas":2,"nodes":[
-            {"name":"n1","addr":"127.0.0.1:7001","store_dir":"/tmp/fleet/n1","role":"leader"},
-            {"name":"n2","addr":"127.0.0.1:7002","store_dir":"/tmp/fleet/n2","workers":3},
-            {"name":"n3","addr":"127.0.0.1:7003","store_dir":"/tmp/fleet/n3","store_capacity":1048576}
-        ]}"#;
-        let a = Topology::parse(TOML).unwrap();
-        let b = Topology::parse(json).unwrap();
-        assert_eq!(a.nodes.len(), b.nodes.len());
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.addr, y.addr);
-            assert_eq!(x.role, y.role);
-            assert_eq!(x.effective_store_capacity(), y.effective_store_capacity());
-            assert_eq!(x.effective_workers(), y.effective_workers());
-        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use flexer_sim::wire::{decode_schedule, encode_schedule, WireError, WireReader, 
 use flexer_tiling::{Dataflow, TilingFactors};
 
 /// Encodes a [`Dataflow`] as a one-byte tag.
-pub fn encode_dataflow(w: &mut WireWriter, d: Dataflow) {
+fn encode_dataflow(w: &mut WireWriter, d: Dataflow) {
     let tag = match d {
         Dataflow::Kcs => 0,
         Dataflow::Ksc => 1,
@@ -47,7 +47,7 @@ pub fn encode_dataflow(w: &mut WireWriter, d: Dataflow) {
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
-pub fn decode_dataflow(r: &mut WireReader<'_>) -> Result<Dataflow, WireError> {
+fn decode_dataflow(r: &mut WireReader<'_>) -> Result<Dataflow, WireError> {
     match r.u8()? {
         0 => Ok(Dataflow::Kcs),
         1 => Ok(Dataflow::Ksc),
@@ -63,7 +63,7 @@ pub fn decode_dataflow(r: &mut WireReader<'_>) -> Result<Dataflow, WireError> {
 }
 
 /// Encodes [`TilingFactors`] as four raw tile counts.
-pub fn encode_factors(w: &mut WireWriter, f: TilingFactors) {
+fn encode_factors(w: &mut WireWriter, f: TilingFactors) {
     w.u32(f.k());
     w.u32(f.c());
     w.u32(f.h());
@@ -75,7 +75,7 @@ pub fn encode_factors(w: &mut WireWriter, f: TilingFactors) {
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
-pub fn decode_factors(r: &mut WireReader<'_>) -> Result<TilingFactors, WireError> {
+fn decode_factors(r: &mut WireReader<'_>) -> Result<TilingFactors, WireError> {
     let (k, c, h, w) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
     Ok(TilingFactors::from_raw(k, c, h, w))
 }
@@ -90,7 +90,7 @@ const RETIRED_STATS: usize = 5;
 /// retired counters were. The exhaustive destructuring keeps
 /// the codec in lock-step with the struct: a new field fails to
 /// compile here (and in [`decode_stats`]) until it is wired in.
-pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
+fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
     let SearchStats {
         steps,
         sets_generated,
@@ -145,7 +145,7 @@ pub fn encode_stats(w: &mut WireWriter, s: &SearchStats) {
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
-pub fn decode_stats(r: &mut WireReader<'_>) -> Result<SearchStats, WireError> {
+fn decode_stats(r: &mut WireReader<'_>) -> Result<SearchStats, WireError> {
     let stats = SearchStats {
         steps: r.u64()?,
         sets_generated: r.u64()?,

@@ -35,7 +35,7 @@ impl Client {
     /// # Errors
     ///
     /// Propagates the `set_nodelay` and `try_clone` failures.
-    pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
+    fn from_stream(stream: TcpStream) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self {

@@ -118,17 +118,6 @@ impl Timeline {
         self.core_busy[core as usize]
     }
 
-    /// The core that becomes free earliest (lowest index on ties).
-    #[must_use]
-    pub fn earliest_core(&self) -> u32 {
-        self.core_free
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &f)| (f, *i))
-            .map(|(i, _)| i as u32)
-            .expect("at least one core")
-    }
-
     /// The cycle at which the DMA channel becomes free.
     #[must_use]
     pub const fn dma_free(&self) -> u64 {
@@ -241,17 +230,6 @@ mod tests {
         assert_eq!(t.issue_compute(0, 20, 10).unwrap(), (100, 110));
         // Core free at 110, data ready at 200.
         assert_eq!(t.issue_compute(0, 200, 10).unwrap(), (200, 210));
-    }
-
-    #[test]
-    fn earliest_core_prefers_lowest_index_on_ties() {
-        let mut t = Timeline::new(3);
-        assert_eq!(t.earliest_core(), 0);
-        t.issue_compute(0, 0, 10).unwrap();
-        assert_eq!(t.earliest_core(), 1);
-        t.issue_compute(1, 0, 10).unwrap();
-        t.issue_compute(2, 0, 5).unwrap();
-        assert_eq!(t.earliest_core(), 2);
     }
 
     #[test]

@@ -456,7 +456,7 @@ impl InterpStats {
 
     /// The core each operation executed on.
     #[must_use]
-    pub fn exec_core(&self, op: OpId) -> Option<u32> {
+    fn exec_core(&self, op: OpId) -> Option<u32> {
         self.exec_core.get(&op).copied()
     }
 

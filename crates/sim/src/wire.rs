@@ -252,7 +252,7 @@ impl<'a> WireReader<'a> {
 }
 
 /// Encodes an [`OpId`].
-pub fn encode_op_id(w: &mut WireWriter, op: OpId) {
+fn encode_op_id(w: &mut WireWriter, op: OpId) {
     w.u32(u32::try_from(op.index()).expect("op ids are u32-backed"));
 }
 
@@ -261,7 +261,7 @@ pub fn encode_op_id(w: &mut WireWriter, op: OpId) {
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
-pub fn decode_op_id(r: &mut WireReader<'_>) -> Result<OpId, WireError> {
+fn decode_op_id(r: &mut WireReader<'_>) -> Result<OpId, WireError> {
     Ok(OpId::new(r.u32()?))
 }
 
@@ -306,7 +306,7 @@ pub fn decode_tile_id(r: &mut WireReader<'_>) -> Result<TileId, WireError> {
 }
 
 /// Encodes a [`TrafficClass`].
-pub fn encode_traffic_class(w: &mut WireWriter, class: TrafficClass) {
+fn encode_traffic_class(w: &mut WireWriter, class: TrafficClass) {
     let tag = match class {
         TrafficClass::Input => 0,
         TrafficClass::Weight => 1,
@@ -321,7 +321,7 @@ pub fn encode_traffic_class(w: &mut WireWriter, class: TrafficClass) {
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
-pub fn decode_traffic_class(r: &mut WireReader<'_>) -> Result<TrafficClass, WireError> {
+fn decode_traffic_class(r: &mut WireReader<'_>) -> Result<TrafficClass, WireError> {
     match r.u8()? {
         0 => Ok(TrafficClass::Input),
         1 => Ok(TrafficClass::Weight),
@@ -335,7 +335,7 @@ pub fn decode_traffic_class(r: &mut WireReader<'_>) -> Result<TrafficClass, Wire
 }
 
 /// Encodes a [`MemOpKind`].
-pub fn encode_mem_op_kind(w: &mut WireWriter, kind: MemOpKind) {
+fn encode_mem_op_kind(w: &mut WireWriter, kind: MemOpKind) {
     let tag = match kind {
         MemOpKind::Load => 0,
         MemOpKind::Spill => 1,
@@ -349,7 +349,7 @@ pub fn encode_mem_op_kind(w: &mut WireWriter, kind: MemOpKind) {
 /// # Errors
 ///
 /// [`WireError`] on malformed input.
-pub fn decode_mem_op_kind(r: &mut WireReader<'_>) -> Result<MemOpKind, WireError> {
+fn decode_mem_op_kind(r: &mut WireReader<'_>) -> Result<MemOpKind, WireError> {
     match r.u8()? {
         0 => Ok(MemOpKind::Load),
         1 => Ok(MemOpKind::Spill),

@@ -368,13 +368,13 @@ impl Dfg {
     }
 
     /// Multiply-accumulate count of one operation, from its tile
-    /// extents.
+    /// extents. Only the tests' MAC-conservation checks read it.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range for this DFG.
-    #[must_use]
-    pub fn op_macs(&self, id: OpId) -> u64 {
+    #[cfg(test)]
+    fn op_macs(&self, id: OpId) -> u64 {
         let op = self.op(id);
         let (sh, sw) = (op.s() / self.factors.w(), op.s() % self.factors.w());
         // Grouped channel connectivity is block-diagonal, not the dense

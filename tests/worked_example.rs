@@ -107,6 +107,29 @@ fn duplicate_dataflow_classes_are_pruned_like_figure7() {
     let pruned = generate_sets(&dfg, &spm, &ready, 2, &opts);
     let raw = ready.len() * (ready.len() - 1) / 2;
     assert!(pruned.len() < raw, "{} !< {raw}", pruned.len());
+
+    // At §4.2's scale: four-wide sets over a 16-op window of a larger
+    // layer's ready list, C(16, 4) = 1,820 combinations, collapse to
+    // 6 dataflow-map classes.
+    let arch = ArchConfig::preset(ArchPreset::Arch5);
+    let model = SystolicModel::new(&arch);
+    let layer = ConvLayer::new("g", 128, 32, 32, 128).unwrap();
+    let factors = TilingFactors::normalized(&layer, 8, 1, 4, 4);
+    let dfg = Dfg::build(&layer, factors, Dataflow::Csk, &model, &arch).unwrap();
+    let spm = SpmMemory::new(arch.spm_bytes());
+    let ready: Vec<OpId> = dfg.initial_ready().collect();
+    assert!(ready.len() >= 64);
+    let sets = |prune| {
+        let opts = ComboOptions {
+            width_cap: 16,
+            max_combos: 4096,
+            max_sets: usize::MAX,
+            prune,
+        };
+        generate_sets(&dfg, &spm, &ready[..64], 4, &opts).len()
+    };
+    assert_eq!(sets(false), 1820);
+    assert_eq!(sets(true), 6);
 }
 
 #[test]
